@@ -19,7 +19,12 @@ from .cyclemodel import (
     speedup_report,
 )
 from .events import Roi, filter_roi, make_batch, parse_events
-from .optimizer import OptimizerConfig, estimate_motion, final_image_set
+from .optimizer import (
+    OptimizationError,
+    OptimizerConfig,
+    estimate_motion,
+    final_image_set,
+)
 from .synth import SceneConfig, generate_scene
 from .tracker import TrackerConfig, track
 from .warp import Velocity
@@ -315,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, OSError) as exc:
+    except (ValueError, OSError, OptimizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .events import EventBatch
 from .objective import Gradient, evaluate
@@ -92,8 +92,11 @@ def estimate_motion(
 
     Each iteration warps the batch at the current velocity, accumulates the
     three images, evaluates contrast and gradient, then steps the velocity.
-    With a positive ``grad_tolerance`` the loop stops once the gradient norm
-    falls below it; by default all iterations run.
+    An iteration whose votes all land outside the grid raises
+    ``OptimizationError``: the velocity has run away, and every later step
+    would be taken on an empty image. With a positive ``grad_tolerance`` the
+    loop stops once the gradient norm falls below it; by default all
+    iterations run.
     """
     n = len(batch)
     if n == 0:
@@ -111,12 +114,16 @@ def estimate_motion(
     records: list[IterationRecord] = []
     vote_ops = 0
     readouts = 0
-    last_imgs: ImageSet | None = None
     for it in range(cfg.iterations):
         warped = warp_batch(batch, v)
         acc.accumulate(warped)
         imgs = acc.read_and_clear()
-        last_imgs = imgs
+        if not imgs.in_bounds_mass > 0.0:
+            raise OptimizationError(
+                f"no vote mass inside the grid at iteration {it}, "
+                f"v = ({v.vx:.6g}, {v.vy:.6g}): the ascent diverged or "
+                f"started off the grid"
+            )
         vote_ops += n
         readouts += n_pixels
         report = evaluate(imgs)

@@ -13,6 +13,18 @@ derivatives of that weight. Two accumulators are provided:
 The banked accumulator must produce results bit-identical to the naive one
 for any input; a forwarding-disabled variant exists only to demonstrate
 the hazard it fixes.
+
+Both consume one vote stream, built CHUNK_EVENTS events at a time, so the
+memory of an ``accumulate`` call does not grow with the batch. Temporaries
+sized by the whole batch run to hundreds of KB; the allocator returns such
+blocks to the OS and page-faults them back in on every ascent iteration,
+which costs more than the arithmetic. Instead of masking off-grid corners,
+the naive grids carry a PAD-pixel ring that catches them and is cut away
+on read, so no mask or filtered copy is made. ``np.add.at`` adds each
+contribution in (event, corner) order, across chunks and across calls, so
+every pixel is the same sequential sum as in the banked datapath and the
+results stay bit-identical to it. Summing per-chunk partials (``bincount``)
+would change the rounding.
 """
 
 from __future__ import annotations
@@ -30,6 +42,12 @@ from .warp import WarpedBatch, WarpedEvent
 # exactly the in-flight window.
 PIPELINE_DEPTH = 3
 FORWARD_DEPTH = 3
+
+# Events voted per pass: each (CHUNK_EVENTS, 4) float64 stream is 32 KB, well
+# under glibc's 128 KB mmap threshold, so its pages are reused, not refaulted.
+CHUNK_EVENTS = 1024
+# Padding ring, in pixels per side, that catches stencils leaving the grid.
+PAD = 2
 
 ROLES = ("iwe", "d_vx", "d_vy")
 
@@ -107,26 +125,65 @@ def bilinear_votes(we: WarpedEvent, shape: tuple[int, int]) -> list[VoteContribu
     return out
 
 
-def _vote_arrays(warped: WarpedBatch):
-    """Vectorized vote stream for a whole warped batch.
+def _vote_arrays(xs: np.ndarray, ys: np.ndarray, dts: np.ndarray,
+                 shape: tuple[int, int]):
+    """Vectorized vote stream for a run of warped events.
 
-    Returns (I, J, W, DWX, DWY), each of shape (n, 4) with the fixed pixel
-    order (i,j), (i+1,j), (i,j+1), (i+1,j+1). No bounds filtering here.
+    Returns (P, W, DWX, DWY), each of shape (n, 4), event-major with the
+    fixed corner order (i,j), (i+1,j), (i,j+1), (i+1,j+1). P indexes the
+    flattened grid padded by PAD pixels per side. The floor coordinates are
+    clamped to [-PAD, w] x [-PAD, h] first, so a stencil that leaves the grid
+    lands in the padding ring whatever its distance, and the int cast cannot
+    overflow (fmin/fmax also send NaN there). Clamping only moves stencils
+    that are wholly off the grid; the weights come from the unclamped floor.
     """
-    xs, ys, dts = warped.xs, warped.ys, warped.dts
-    ii = np.floor(xs).astype(np.int64)
-    jj = np.floor(ys).astype(np.int64)
-    dx = xs - ii
-    dy = ys - jj
+    w_dim, h_dim = shape
+    pw = w_dim + 2 * PAD
+    fx = np.floor(xs)
+    fy = np.floor(ys)
+    dx = xs - fx
+    dy = ys - fy
     one_dx = 1.0 - dx
     one_dy = 1.0 - dy
-    I = np.stack([ii, ii + 1, ii, ii + 1], axis=1)
-    J = np.stack([jj, jj, jj + 1, jj + 1], axis=1)
-    W = np.stack([one_dx * one_dy, dx * one_dy, one_dx * dy, dx * dy], axis=1)
-    ndt = (-dts)[:, None]
-    DWX = ndt * np.stack([-one_dy, one_dy, -dy, dy], axis=1)
-    DWY = ndt * np.stack([-one_dx, -dx, one_dx, dx], axis=1)
-    return I, J, W, DWX, DWY
+    ndt = -dts
+    i = np.fmax(np.fmin(fx, w_dim), -PAD).astype(np.intp)
+    j = np.fmax(np.fmin(fy, h_dim), -PAD).astype(np.intp)
+    base = (j + PAD) * pw + (i + PAD)
+
+    n = xs.shape[0]
+    P = np.empty((n, 4), dtype=np.intp)
+    W = np.empty((n, 4))
+    DWX = np.empty((n, 4))
+    DWY = np.empty((n, 4))
+    P[:, 0] = base
+    P[:, 1] = base + 1
+    P[:, 2] = base + pw
+    P[:, 3] = base + (pw + 1)
+    W[:, 0] = one_dx * one_dy
+    W[:, 1] = dx * one_dy
+    W[:, 2] = one_dx * dy
+    W[:, 3] = dx * dy
+    # ndt * (-a) == -(ndt * a) exactly: IEEE rounding is sign-symmetric
+    a = ndt * one_dy
+    b = ndt * dy
+    DWX[:, 0] = -a
+    DWX[:, 1] = a
+    DWX[:, 2] = -b
+    DWX[:, 3] = b
+    a = ndt * one_dx
+    b = ndt * dx
+    DWY[:, 0] = -a
+    DWY[:, 1] = -b
+    DWY[:, 2] = a
+    DWY[:, 3] = b
+    return P, W, DWX, DWY
+
+
+def _vote_chunks(warped: WarpedBatch, shape: tuple[int, int]):
+    """``_vote_arrays`` over consecutive CHUNK_EVENTS-event slices, in order."""
+    for s in range(0, len(warped), CHUNK_EVENTS):
+        e = s + CHUNK_EVENTS
+        yield _vote_arrays(warped.xs[s:e], warped.ys[s:e], warped.dts[s:e], shape)
 
 
 def _as_warped_batch(warped) -> WarpedBatch:
@@ -148,34 +205,23 @@ class NaiveAccumulator:
         if w < 2 or h < 2:
             raise VotingConfigError(f"grid must be at least 2x2, got {w}x{h}")
         self.shape = shape
-        self._iwe = np.zeros(h * w, dtype=np.float64)
-        self._dvx = np.zeros(h * w, dtype=np.float64)
-        self._dvy = np.zeros(h * w, dtype=np.float64)
+        # iwe, d_vx, d_vy; each row is one flattened padded grid
+        self._grids = np.zeros((3, (h + 2 * PAD) * (w + 2 * PAD)))
 
     def accumulate(self, warped) -> None:
-        warped = _as_warped_batch(warped)
-        if len(warped) == 0:
-            return
-        w_dim, h_dim = self.shape
-        I, J, W, DWX, DWY = _vote_arrays(warped)
-        mask = (I >= 0) & (I < w_dim) & (J >= 0) & (J < h_dim)
-        flat = (J * w_dim + I)[mask]
-        np.add.at(self._iwe, flat, W[mask])
-        np.add.at(self._dvx, flat, DWX[mask])
-        np.add.at(self._dvy, flat, DWY[mask])
+        iwe, dvx, dvy = self._grids
+        for P, W, DWX, DWY in _vote_chunks(_as_warped_batch(warped), self.shape):
+            flat = P.ravel()
+            np.add.at(iwe, flat, W.ravel())
+            np.add.at(dvx, flat, DWX.ravel())
+            np.add.at(dvy, flat, DWY.ravel())
 
     def read_and_clear(self) -> ImageSet:
         w_dim, h_dim = self.shape
-        imgs = ImageSet(
-            iwe=self._iwe.reshape(h_dim, w_dim).copy(),
-            d_vx=self._dvx.reshape(h_dim, w_dim).copy(),
-            d_vy=self._dvy.reshape(h_dim, w_dim).copy(),
-            in_bounds_mass=float(self._iwe.sum()),
-        )
-        self._iwe[:] = 0.0
-        self._dvx[:] = 0.0
-        self._dvy[:] = 0.0
-        return imgs
+        padded = self._grids.reshape(3, h_dim + 2 * PAD, w_dim + 2 * PAD)
+        iwe, dvx, dvy = (g[PAD:-PAD, PAD:-PAD].copy() for g in padded)
+        self._grids.fill(0.0)
+        return ImageSet(iwe=iwe, d_vx=dvx, d_vy=dvy, in_bounds_mass=float(iwe.sum()))
 
 
 class _Bank:
@@ -190,7 +236,7 @@ class _Bank:
     __slots__ = ("mem", "inflight", "forwarding", "writes")
 
     def __init__(self, n_words: int, forwarding: bool = True) -> None:
-        self.mem = np.zeros(n_words, dtype=np.float64)
+        self.mem = [0.0] * n_words
         self.inflight: deque[tuple[int, float]] = deque()
         self.forwarding = forwarding
         self.writes = 0
@@ -217,7 +263,7 @@ class _Bank:
             self.mem[a] = v
 
     def clear(self) -> None:
-        self.mem[:] = 0.0
+        self.mem = [0.0] * len(self.mem)
         self.inflight.clear()
 
 
@@ -248,31 +294,25 @@ class BankedAccumulator:
         }
 
     def accumulate(self, warped) -> None:
-        warped = _as_warped_batch(warped)
-        if len(warped) == 0:
-            return
         w_dim, h_dim = self.shape
         half_w = w_dim // 2
-        I, J, W, DWX, DWY = _vote_arrays(warped)
         iwe_banks = self._banks["iwe"]
         dvx_banks = self._banks["d_vx"]
         dvy_banks = self._banks["d_vy"]
-        n = I.shape[0]
-        for k in range(n):
-            for c in range(4):
-                i = I[k, c]
-                j = J[k, c]
+        for P, W, DWX, DWY in _vote_chunks(_as_warped_batch(warped), self.shape):
+            J, I = np.divmod(P.ravel(), w_dim + 2 * PAD)
+            for i, j, w, dwx, dwy in zip(
+                (I - PAD).tolist(), (J - PAD).tolist(),
+                W.ravel().tolist(), DWX.ravel().tolist(), DWY.ravel().tolist(),
+            ):
                 if not (0 <= i < w_dim and 0 <= j < h_dim):
                     continue
                 bank_idx = (i & 1) + 2 * (j & 1)
                 addr = (j >> 1) * half_w + (i >> 1)
-                w = W[k, c]
                 if w != 0.0:
                     iwe_banks[bank_idx].add(addr, w)
-                dwx = DWX[k, c]
                 if dwx != 0.0:
                     dvx_banks[bank_idx].add(addr, dwx)
-                dwy = DWY[k, c]
                 if dwy != 0.0:
                     dvy_banks[bank_idx].add(addr, dwy)
 
@@ -285,10 +325,8 @@ class BankedAccumulator:
         grid = np.empty((h_dim, w_dim), dtype=np.float64)
         banks = self._banks[role]
         # bank index = (i & 1) + 2 * (j & 1)
-        grid[0::2, 0::2] = banks[0].mem.reshape(h_dim // 2, w_dim // 2)
-        grid[0::2, 1::2] = banks[1].mem.reshape(h_dim // 2, w_dim // 2)
-        grid[1::2, 0::2] = banks[2].mem.reshape(h_dim // 2, w_dim // 2)
-        grid[1::2, 1::2] = banks[3].mem.reshape(h_dim // 2, w_dim // 2)
+        for k, bank in enumerate(banks):
+            grid[k >> 1::2, k & 1::2] = np.reshape(bank.mem, (h_dim // 2, w_dim // 2))
         return grid
 
     def read_and_clear(self) -> ImageSet:

@@ -162,6 +162,18 @@ class TestEstimateCommand:
         contrasts = [float(r.split(",")[3]) for r in rows]
         assert all(b >= a - 1e-9 for a, b in zip(contrasts, contrasts[1:]))
 
+    def test_divergent_step_fails_loudly(self, fixture_events, tmp_path, capsys):
+        rc = main(
+            ["estimate", "--input", str(fixture_events), "--batch-size", "2000",
+             "--roi-x0", "18", "--roi-y0", "68", "--learning-rate", "1e9",
+             "--output-dir", str(tmp_path / "est")]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "diverged" in captured.err
+        assert "v = (" not in captured.out
+
     def test_out_of_range_batch_index(self, fixture_events, capsys):
         rc = main(
             ["estimate", "--input", str(fixture_events), "--batch-size", "2000",

@@ -7,6 +7,7 @@ from evcm.events import make_batch
 from evcm.objective import analytic_gradient
 from evcm.optimizer import (
     LEARNING_RATE_SCALE,
+    OptimizationError,
     OptimizerConfig,
     default_learning_rate,
     estimate_motion,
@@ -58,6 +59,20 @@ class TestEstimateMotion:
         with pytest.raises(ValueError):
             estimate_motion(empty, OptimizerConfig())
 
+    def test_zero_in_bounds_mass_raises(self):
+        # one huge step carries every warped event off the 64x64 grid
+        batch = small_scene_batch()
+        with pytest.raises(OptimizationError, match="iteration 1"):
+            estimate_motion(
+                batch, OptimizerConfig(iterations=5, learning_rate=1e9), shape=(64, 64)
+            )
+
+    def test_warm_start_off_the_grid_raises(self):
+        batch = small_scene_batch()
+        cfg = OptimizerConfig(iterations=3, v_init=Velocity(1e6, 0.0))
+        with pytest.raises(OptimizationError, match="iteration 0"):
+            estimate_motion(batch, cfg, shape=(64, 64))
+
     def test_single_step_contract(self, rng):
         batch = random_interior_batch(rng, 120)
         v0 = Velocity(0.25, -0.5)
@@ -107,7 +122,7 @@ class TestEstimateMotion:
         assert contrasts[-1] > contrasts[0]
 
     def test_trace_lengths_and_work_counters(self, rng):
-        batch = random_interior_batch(rng, 60)
+        batch = random_interior_batch(rng, 60, grid=(16, 16), margin=2)
         _, trace = estimate_motion(
             batch, OptimizerConfig(iterations=7, learning_rate=0.01), shape=(16, 16)
         )

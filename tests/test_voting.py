@@ -1,11 +1,14 @@
 """Bilinear voting, naive accumulation and the banked hardware emulation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evcm.voting import (
+    CHUNK_EVENTS,
     BankedAccumulator,
     NaiveAccumulator,
     VotingConfigError,
@@ -180,6 +183,105 @@ class TestBankedEquivalence:
             assert_imagesets_identical(
                 accumulate_banked(w, (8, 8)), accumulate_naive(w, (8, 8))
             )
+
+
+def scalar_oracle(warped: WarpedBatch, shape) -> tuple[np.ndarray, ...]:
+    """Per-event reference: ``bilinear_votes`` summed pixel by pixel in
+    (event, corner) order with Python floats."""
+    w, h = shape
+    grids = [[[0.0] * w for _ in range(h)] for _ in range(3)]
+    for we in warped:
+        for v in bilinear_votes(we, shape):
+            i, j = v.pixel
+            grids[0][j][i] += v.w
+            grids[1][j][i] += v.dwx
+            grids[2][j][i] += v.dwy
+    return tuple(np.array(g) for g in grids)
+
+
+def edge_stream(rng, n, grid) -> WarpedBatch:
+    """Stencils straddling every edge, whole-pixel coordinates, far-off
+    coordinates and runs of repeats, shuffled through one stream."""
+    w, h = grid
+    xs = rng.uniform(-1.5, w + 0.5, n)
+    ys = rng.uniform(-1.5, h + 0.5, n)
+    kind = rng.integers(0, 6, n)
+    whole = kind == 1
+    xs[whole] = rng.integers(-1, w + 1, whole.sum())
+    ys[whole] = rng.integers(-1, h + 1, whole.sum())
+    far = kind == 2
+    far_values = np.array([1e6, -1e6, 1e300, -1e300])
+    axis = rng.random(far.sum()) < 0.5
+    xs[far] = np.where(axis, rng.choice(far_values, far.sum()), xs[far])
+    ys[far] = np.where(axis, ys[far], rng.choice(far_values, far.sum()))
+    repeat = np.flatnonzero(kind == 3)
+    xs[repeat] = xs[repeat - 1]
+    ys[repeat] = ys[repeat - 1]
+    return wbatch(xs, ys, rng.uniform(-1, 1, n))
+
+
+class TestChunkBoundaries:
+    GRID = (16, 12)
+
+    @pytest.mark.parametrize(
+        "n", [CHUNK_EVENTS - 1, CHUNK_EVENTS, CHUNK_EVENTS + 1, 3 * CHUNK_EVENTS + 7]
+    )
+    def test_naive_banked_and_scalar_oracle_bit_identical(self, rng, n):
+        warped = edge_stream(rng, n, self.GRID)
+        naive = accumulate_naive(warped, self.GRID)
+        assert_imagesets_identical(accumulate_banked(warped, self.GRID), naive)
+        iwe, dvx, dvy = scalar_oracle(warped, self.GRID)
+        assert np.array_equal(naive.iwe, iwe)
+        assert np.array_equal(naive.d_vx, dvx)
+        assert np.array_equal(naive.d_vy, dvy)
+
+    def test_far_off_and_non_finite_coordinates_vote_nothing(self):
+        bad = [1e6, -1e6, 1e300, -1e300, np.nan, np.inf, -np.inf]
+        k = len(bad)
+        xs = bad + [5.5] * k + bad
+        ys = [5.5] * k + bad + bad
+        with np.errstate(invalid="ignore"):  # inf - floor(inf) is nan
+            imgs = accumulate_naive(wbatch(xs, ys, [0.5] * 3 * k), self.GRID)
+        assert not imgs.iwe.any() and not imgs.d_vx.any() and not imgs.d_vy.any()
+        assert imgs.in_bounds_mass == 0.0
+
+    @pytest.mark.parametrize("cls", [NaiveAccumulator, BankedAccumulator])
+    def test_split_calls_match_one_call(self, cls, rng):
+        n = 2 * CHUNK_EVENTS + 300
+        warped = edge_stream(rng, n, self.GRID)
+        cut = CHUNK_EVENTS + 517  # neither piece ends on a chunk boundary
+        split = cls(self.GRID)
+        split.accumulate(wbatch(warped.xs[:cut], warped.ys[:cut], warped.dts[:cut]))
+        split.accumulate(wbatch(warped.xs[cut:], warped.ys[cut:], warped.dts[cut:]))
+        whole = cls(self.GRID)
+        whole.accumulate(warped)
+        a, b = split.read_and_clear(), whole.read_and_clear()
+        assert_imagesets_identical(a, b)
+        assert a.in_bounds_mass == b.in_bounds_mass
+
+
+def accumulate_peak_bytes(n: int) -> int:
+    """tracemalloc peak of one warm ``NaiveAccumulator.accumulate`` call."""
+    rng = np.random.default_rng(21)
+    warped = wbatch(
+        rng.uniform(-2, 66, n), rng.uniform(-2, 66, n), rng.uniform(-1, 1, n)
+    )
+    acc = NaiveAccumulator((64, 64))
+    acc.accumulate(warped)
+    acc.read_and_clear()
+    tracemalloc.start()
+    try:
+        acc.accumulate(warped)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_accumulate_memory_does_not_grow_with_batch_size():
+    small = accumulate_peak_bytes(20_000)
+    large = accumulate_peak_bytes(80_000)
+    assert large <= 1.1 * small
+    assert large < 1_000_000
 
 
 class TestPgmExport:
