@@ -1,7 +1,7 @@
 """Contrast-maximization motion estimation for event cameras."""
 
 from .events import (
-    Event,
+    EventArray,
     EventBatch,
     EventParseError,
     EventValidationError,

@@ -188,9 +188,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     events = _load_events(cfg)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    if args.batch_index < 0:
+        raise ValueError(f"batch index {args.batch_index} must be non-negative")
     start = args.batch_index * cfg.batch_size
     chunk = events[start : start + cfg.batch_size]
-    if not chunk:
+    if len(chunk) == 0:
         raise ValueError(f"batch index {args.batch_index} is out of range")
     batch = filter_roi(make_batch(chunk), cfg.roi())
     if len(batch) == 0:

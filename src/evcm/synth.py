@@ -16,7 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import Event
+from .events import EventArray
+
+
+_WRITE_CHUNK = 1 << 14  # events formatted per write
 
 
 @dataclass(frozen=True)
@@ -42,31 +45,24 @@ class SceneConfig:
             raise ValueError("batches and events_per_batch must be >= 1")
 
 
-@dataclass
-class SyntheticScene:
-    ts: np.ndarray          # int64 microseconds, sorted
-    xs: np.ndarray          # int64
-    ys: np.ndarray          # int64
-    ps: np.ndarray          # int8, -1/+1
+@dataclass(frozen=True, eq=False)
+class SyntheticScene(EventArray):
+    """A sorted event stream (``ts`` int64 µs, ``xs``/``ys`` int64, ``ps``
+    int8 -1/+1) with its noise tags and ground truth; it feeds ``make_batch``
+    and ``track`` directly."""
+
     noise_mask: np.ndarray  # bool, True where the event is noise
     truth: dict
 
-    def __len__(self) -> int:
-        return int(self.ts.shape[0])
-
-    @property
-    def events(self) -> list[Event]:
-        return [
-            Event(int(t), int(x), int(y), int(p))
-            for t, x, y, p in zip(self.ts, self.xs, self.ys, self.ps)
-        ]
-
     def write_events(self, path) -> None:
-        lines = [
-            f"{t} {x} {y} {0 if p < 0 else 1}"
-            for t, x, y, p in zip(self.ts, self.xs, self.ys, self.ps)
-        ]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+        """Write ``t x y p`` lines (polarity 0/1), formatting Python ints in
+        chunks so the formatted text never all sits in memory at once."""
+        cols = (self.ts, self.xs, self.ys, (self.ps >= 0).astype(np.int8))
+        with open(path, "w", encoding="ascii") as fh:
+            # an empty scene still gets its one "\n"
+            for i in range(0, max(len(self), 1), _WRITE_CHUNK):
+                rows = zip(*(c[i : i + _WRITE_CHUNK].tolist() for c in cols))
+                fh.write("\n".join([f"{t} {x} {y} {p}" for t, x, y, p in rows]) + "\n")
 
     def write_truth(self, path) -> None:
         Path(path).write_text(

@@ -6,9 +6,10 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
 
-from .events import Event, EventBatch, Roi, filter_roi, make_batch
+import numpy as np
+
+from .events import EventArray, Roi, filter_roi, make_batch
 from .optimizer import OptimizerConfig, estimate_motion, final_image_set
 from .warp import Velocity
 
@@ -80,7 +81,7 @@ def update_roi(
     return Roi(x0, y0, roi.w, roi.h)
 
 
-def track(events: Sequence[Event], cfg: TrackerConfig) -> TrackResult:
+def track(events: EventArray, cfg: TrackerConfig) -> TrackResult:
     """Run the per-batch tracking pipeline over a sorted event stream.
 
     Batches are consecutive, count-based slices. Batches with fewer than
@@ -88,9 +89,8 @@ def track(events: Sequence[Event], cfg: TrackerConfig) -> TrackResult:
     previous velocity (warm start carries across batches). A trailing
     partial batch is processed only if it clears the same threshold.
     """
-    for a, b in zip(events, events[1:]):
-        if b.t < a.t:
-            raise ValueError("event stream must be sorted by timestamp")
+    if np.any(np.diff(events.ts) < 0):
+        raise ValueError("event stream must be sorted by timestamp")
     sensor = (cfg.sensor_width, cfg.sensor_height)
     dump_dir = Path(cfg.dump_iwe_dir) if cfg.dump_iwe_dir is not None else None
     if dump_dir is not None:

@@ -5,16 +5,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from evcm.events import Event, EventBatch, make_batch
+from evcm.events import EventArray, EventBatch, make_batch
+
+
+def event_array(ts, xs, ys, ps=None) -> EventArray:
+    """Event columns from plain lists (polarity defaults to +1)."""
+    if ps is None:
+        ps = [1] * len(ts)
+    return EventArray(
+        np.asarray(ts, dtype=np.int64),
+        np.asarray(xs, dtype=np.int64),
+        np.asarray(ys, dtype=np.int64),
+        np.asarray(ps, dtype=np.int8),
+    )
 
 
 def batch_from_arrays(ts, xs, ys, ps=None) -> EventBatch:
     """Build a batch from plain lists (polarity defaults to +1)."""
-    if ps is None:
-        ps = [1] * len(ts)
-    return make_batch(
-        [Event(int(t), int(x), int(y), int(p)) for t, x, y, p in zip(ts, xs, ys, ps)]
-    )
+    return make_batch(event_array(ts, xs, ys, ps))
 
 
 def random_interior_batch(

@@ -61,7 +61,7 @@ def scene_batch(scene, velocity, noise, seed):
         sensor=(64, 64),
         **SCENE_SHAPE[scene],
     )
-    return make_batch(generate_scene(cfg).events)
+    return make_batch(generate_scene(cfg))
 
 
 def contrast_at(batch, vx, vy, shape=(64, 64)):
@@ -238,7 +238,7 @@ def test_criterion_7_tracking_sanity(scene):
     )
     sc = generate_scene(cfg)
     res = track(
-        sc.events,
+        sc,
         TrackerConfig(
             batch_size=10_000,
             roi_init=Roi(18, 68, 64, 64),

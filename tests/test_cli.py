@@ -99,6 +99,18 @@ class TestTrackCommand:
         assert rc == 1
         assert "nope.txt" in capsys.readouterr().err
 
+    def test_field_beyond_int64_fails_with_line_number(self, tmp_path, capsys):
+        events = tmp_path / "events.txt"
+        events.write_text(
+            "# t x y p\n1 2 3 1\n99999999999999999999999 3 4 0\n", encoding="ascii"
+        )
+        rc = main(
+            ["track", "--input", str(events), "--batch-size", "2",
+             "--min-roi-events", "1", "--output-dir", str(tmp_path / "run")]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: line 3: ")
+
     def test_config_file_with_flag_override(self, fixture_events, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(
@@ -181,6 +193,17 @@ class TestEstimateCommand:
         )
         assert rc == 1
         assert "out of range" in capsys.readouterr().err
+
+    def test_negative_batch_index_rejected(self, tmp_path, capsys):
+        events = tmp_path / "events.txt"
+        events.write_text("0 1 1 1\n10 2 2 0\n20 3 3 1\n30 4 4 0\n", encoding="ascii")
+        rc = main(
+            ["estimate", "--input", str(events), "--batch-size", "2",
+             "--batch-index", "-2", "--output-dir", str(tmp_path / "est")]
+        )
+        assert rc == 1
+        assert "batch index -2" in capsys.readouterr().err
+        assert not (tmp_path / "est" / "trace.csv").exists()
 
 
 class TestCyclesCommand:

@@ -31,7 +31,7 @@ def small_scene_batch(velocity=(2.0, -1.5), seed=3, n=800):
         seed=seed,
         sensor=(64, 64),
     )
-    return make_batch(generate_scene(cfg).events)
+    return make_batch(generate_scene(cfg))
 
 
 class TestConfigValidation:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from evcm.events import make_batch
-from evcm.synth import SceneConfig, generate_scene
+from evcm.synth import SceneConfig, SyntheticScene, generate_scene
 from evcm.warp import Velocity, warp_batch
+
+from oracles import write_events_scalar
 
 
 class TestConfigValidation:
@@ -81,7 +83,7 @@ class TestGenerateScene:
             sensor=(64, 64),
         )
         sc = generate_scene(cfg)
-        batch = make_batch(sc.events)
+        batch = make_batch(sc)
         truth = Velocity(*cfg.velocity)
         w_true = warp_batch(batch, truth)
         w_zero = warp_batch(batch, Velocity(0, 0))
@@ -104,6 +106,20 @@ class TestGenerateScene:
         c0, c1 = truth["centers"]
         assert c1["cx"] - c0["cx"] == pytest.approx(2 * 3.0)
 
+    def test_event_file_matches_scalar_writer(self, tmp_path):
+        sc = generate_scene(
+            SceneConfig(batches=2, events_per_batch=20_000, noise_fraction=0.1, seed=3)
+        )
+        assert set(sc.ps.tolist()) == {-1, 1}
+        empty = SyntheticScene(*(c[:0] for c in (sc.ts, sc.xs, sc.ys, sc.ps)),
+                               noise_mask=sc.noise_mask[:0], truth={})
+        for scene in (sc, empty):
+            scene.write_events(tmp_path / "columnar.txt")
+            write_events_scalar(scene, tmp_path / "scalar.txt")
+            assert (tmp_path / "columnar.txt").read_bytes() == (
+                tmp_path / "scalar.txt"
+            ).read_bytes()
+
     def test_event_file_format(self, tmp_path):
         sc = generate_scene(SceneConfig(events_per_batch=10, seed=1))
         path = tmp_path / "events.txt"
@@ -112,4 +128,4 @@ class TestGenerateScene:
 
         evs = parse_events(path, sensor_size=(240, 180))
         assert len(evs) == 10
-        assert all(e.p in (-1, 1) for e in evs)
+        assert set(evs.ps.tolist()) <= {-1, 1}

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from evcm.events import Event, Roi
+from evcm.events import Roi
 from evcm.optimizer import OptimizerConfig
 from evcm.synth import SceneConfig, generate_scene
 from evcm.tracker import TrackerConfig, track, update_roi
 from evcm.warp import Velocity
+
+from conftest import event_array
 
 
 class TestUpdateRoi:
@@ -50,14 +52,14 @@ def scene_events(velocity=(3.0, -2.0), start=(50.0, 100.0), batches=10, seed=7,
 
 class TestTrack:
     def test_unsorted_stream_rejected(self):
-        evs = [Event(10, 1, 1, 1), Event(5, 2, 2, 1)]
+        evs = event_array([10, 5], [1, 2], [1, 2], [1, 1])
         with pytest.raises(ValueError):
             track(evs, TrackerConfig())
 
     def test_batch_count_and_csv_shape(self):
         sc = scene_events(batches=3)
         cfg = TrackerConfig(batch_size=2000, roi_init=Roi(18, 68, 64, 64))
-        res = track(sc.events, cfg)
+        res = track(sc, cfg)
         assert len(res) == 3
         lines = res.to_csv().splitlines()
         assert lines[0] == "batch,x_roi,y_roi,vx,vy,contrast,events_in_roi"
@@ -66,7 +68,7 @@ class TestTrack:
     def test_batch_size_larger_than_stream(self):
         sc = scene_events(batches=1)
         cfg = TrackerConfig(batch_size=10**6, roi_init=Roi(18, 68, 64, 64))
-        res = track(sc.events, cfg)
+        res = track(sc, cfg)
         assert len(res) == 1
 
     def test_empty_roi_skips_and_keeps_velocity(self):
@@ -77,7 +79,7 @@ class TestTrack:
             roi_init=Roi(0, 0, 16, 16),  # static empty background corner
             optimizer=OptimizerConfig(v_init=v0),
         )
-        res = track(sc.events, cfg)
+        res = track(sc, cfg)
         assert len(res) == 3
         for rec in res.records:
             assert (rec.velocity.vx, rec.velocity.vy) == (v0.vx, v0.vy)
@@ -90,7 +92,7 @@ class TestTrack:
             roi_init=Roi(176, 0, 64, 64),
             roi_update_scale=500.0,  # huge updates must clamp, not escape
         )
-        res = track(sc.events, cfg)
+        res = track(sc, cfg)
         for rec in res.records:
             assert 0 <= rec.roi.x0 <= 240 - 64
             assert 0 <= rec.roi.y0 <= 180 - 64
@@ -102,15 +104,15 @@ class TestTrack:
         cfg = TrackerConfig(
             batch_size=2000, roi_init=Roi(18, 68, 64, 64), roi_update_scale=0.0
         )
-        res = track(sc.events, cfg)
+        res = track(sc, cfg)
         for rec in res.records:
             assert (rec.roi.x0, rec.roi.y0) == (18, 68)
 
     def test_determinism(self):
         sc = scene_events(batches=3)
         cfg = TrackerConfig(batch_size=2000, roi_init=Roi(18, 68, 64, 64))
-        a = track(sc.events, cfg)
-        b = track(sc.events, cfg)
+        a = track(sc, cfg)
+        b = track(sc, cfg)
         assert a.to_csv() == b.to_csv()
 
     def test_warm_start_carries_across_batches(self):
@@ -120,7 +122,7 @@ class TestTrack:
             roi_init=Roi(18, 68, 64, 64),
             optimizer=OptimizerConfig(iterations=1, learning_rate=1e-9),
         )
-        res = track(sc.events, cfg)
+        res = track(sc, cfg)
         # with a negligible step the velocity stays wherever it started,
         # proving batch 2 started from batch 1's result rather than (0, 0)
         assert abs(res.records[1].velocity.vx - res.records[0].velocity.vx) < 1e-6
@@ -130,6 +132,6 @@ class TestTrack:
         cfg = TrackerConfig(
             batch_size=2000, roi_init=Roi(18, 68, 64, 64), dump_iwe_dir=tmp_path
         )
-        track(sc.events, cfg)
+        track(sc, cfg)
         assert (tmp_path / "iwe_0000.pgm").exists()
         assert (tmp_path / "iwe_0001.pgm").exists()
