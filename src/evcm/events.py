@@ -155,13 +155,18 @@ def _parse_tokens(tokens: np.ndarray, dtype) -> np.ndarray:
     return _loadtxt(rec.tobytes(), dtype, ndmin=1)
 
 
-def _columns(buf: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _columns(
+    buf: bytes, as_text: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Parse every non-blank line of ``buf`` as ``t x y p``.
 
-    Raises ValueError or OverflowError when any line has the wrong field
-    count, a field that is not a number or a value beyond int64.
+    ``as_text`` reads timestamps as text so seconds can be told from
+    microseconds; it is fixed for the whole source, so a line is valid or
+    not on its own, whatever range of lines it is parsed in. Raises
+    ValueError or OverflowError when any line has the wrong field count, a
+    field that is not a number or a value beyond int64.
     """
-    if b"." not in buf:
+    if not as_text:
         rows = _loadtxt(buf, np.int64, ndmin=2)
         if rows.size and rows.shape[1] != 4:
             raise ValueError("expected 4 fields")
@@ -181,10 +186,10 @@ def _columns(buf: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     return ts, rows["x"].copy(), rows["y"].copy(), rows["p"].copy()
 
 
-def _valid_columns(buf: bytes, sensor_size: tuple[int, int] | None):
+def _valid_columns(buf: bytes, as_text: bool, sensor_size: tuple[int, int] | None):
     """The columns of ``buf``, or None if any line is malformed or invalid."""
     try:
-        ts, xs, ys, ps = _columns(buf)
+        ts, xs, ys, ps = _columns(buf, as_text)
     except (ValueError, OverflowError):
         return None
     bad = (ts < 0) | (xs < 0) | (ys < 0) | ((ps != 0) & (ps != 1))
@@ -193,7 +198,9 @@ def _valid_columns(buf: bytes, sensor_size: tuple[int, int] | None):
     return None if bad.any() else (ts, xs, ys, ps)
 
 
-def _first_error(buf: bytes, sensor_size: tuple[int, int] | None) -> ValueError:
+def _first_error(
+    buf: bytes, as_text: bool, sensor_size: tuple[int, int] | None
+) -> ValueError:
     """Locate the first line that fails the whole-array checks and describe it.
 
     Bisects over line ranges with the same checks: the first bad line lies in
@@ -205,21 +212,21 @@ def _first_error(buf: bytes, sensor_size: tuple[int, int] | None) -> ValueError:
     lo, hi = 0, len(bounds) - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _valid_columns(buf[bounds[lo] : bounds[mid]], sensor_size) is None:
+        if _valid_columns(buf[bounds[lo] : bounds[mid]], as_text, sensor_size) is None:
             hi = mid
         else:
             lo = mid
-    return _line_error(buf[bounds[lo] : bounds[hi]], lo + 1, sensor_size)
+    return _line_error(buf[bounds[lo] : bounds[hi]], lo + 1, as_text, sensor_size)
 
 
-def _line_error(line: bytes, line_no: int, sensor_size) -> ValueError:
+def _line_error(line: bytes, line_no: int, as_text: bool, sensor_size) -> ValueError:
     """The error for one line that failed the whole-array checks."""
     text = line.decode("ascii").strip()
     fields = text.split()
     if len(fields) != 4:
         return EventParseError(line_no, f"expected 4 fields, got {len(fields)}")
     try:
-        t, x, y, p = (int(c[0]) for c in _columns(line))
+        t, x, y, p = (int(c[0]) for c in _columns(line, as_text))
     except (ValueError, OverflowError):
         return EventParseError(line_no, f"field not a number or beyond int64 in {text!r}")
     if min(t, x, y) < 0:
@@ -256,9 +263,10 @@ def parse_events(
     buf = _read_source(source)
     if b"#" in buf:
         buf = _COMMENT_LINE.sub(b"", buf)  # keeps the "\n", so lines still count
-    cols = _valid_columns(buf, sensor_size)
+    as_text = b"." in buf
+    cols = _valid_columns(buf, as_text, sensor_size)
     if cols is None:
-        raise _first_error(buf, sensor_size)
+        raise _first_error(buf, as_text, sensor_size)
     ts, xs, ys, ps = cols
     return EventArray(ts, xs, ys, (2 * ps - 1).astype(np.int8))
 

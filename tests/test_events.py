@@ -102,6 +102,13 @@ class TestParseEvents:
         with pytest.raises(EventParseError) as exc:
             parse_events(["0.5 1 2 1", "0" * 40 + "x 1 2 1"])
         assert exc.value.line_no == 2
+        # the error names the overlong line, not a valid seconds line after it
+        overlong = "0" * 40 + "1 1 2 1"
+        for lines in ([overlong, "0.5 1 2 1"], [overlong, "5 1 2 1", "0.5 1 2 1"]):
+            with pytest.raises(EventParseError) as exc:
+                parse_events(lines)
+            assert exc.value.line_no == 1, lines
+            assert "0" * 40 in str(exc.value)
 
     def test_first_bad_line_of_a_long_file(self):
         lines = [f"{t} {t % 240} {t % 180} {t % 2}" for t in range(5000)]
