@@ -10,17 +10,12 @@ from .events import (
     make_batch,
     parse_events,
 )
-from .warp import Velocity, WarpedBatch, WarpedEvent, warp_batch, warp_event
+from .warp import Velocity, WarpedBatch, warp_batch
 from .voting import (
     BankedAccumulator,
     ImageSet,
     NaiveAccumulator,
-    VoteContribution,
     VotingConfigError,
-    accumulate_banked,
-    accumulate_naive,
-    bilinear_votes,
-    clear_on_read,
     write_pgm,
 )
 from .objective import ContrastReport, Gradient, analytic_gradient, contrast, evaluate

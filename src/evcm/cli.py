@@ -27,6 +27,7 @@ from .optimizer import (
 )
 from .synth import SceneConfig, generate_scene
 from .tracker import TrackerConfig, track
+from .voting import write_pgm
 from .warp import Velocity
 
 
@@ -48,10 +49,8 @@ class RunConfig:
     vy_init: float = 0.0
     roi_update_scale: float = 1.0
     min_roi_events: int = 10
-    accumulator_mode: str = "naive"
     output_dir: str = "."
     dump_iwe: bool = False
-    seed: int = 0
 
     def to_text(self) -> str:
         out = []
@@ -89,14 +88,13 @@ class RunConfig:
             iterations=self.iterations,
             learning_rate=self.learning_rate,
             v_init=Velocity(self.vx_init, self.vy_init),
-            accumulator_mode=self.accumulator_mode,
         )
 
 
 def _coerce(key: str, val: str):
     if val == "":
         return None
-    if key in ("input_path", "accumulator_mode", "output_dir"):
+    if key in ("input_path", "output_dir"):
         return val
     if key == "dump_iwe":
         return val.lower() in ("1", "true", "yes")
@@ -125,9 +123,7 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         "vy_init",
         "roi_update_scale",
         "min_roi_events",
-        "accumulator_mode",
         "output_dir",
-        "seed",
     ):
         v = getattr(args, name, None)
         if v is not None:
@@ -201,7 +197,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     (out_dir / "trace.csv").write_text(trace.to_csv(), encoding="ascii")
     if cfg.dump_iwe:
         imgs = final_image_set(batch, v, (cfg.roi_w, cfg.roi_h))
-        imgs.write_pgm(out_dir / "iwe_final.pgm")
+        write_pgm(imgs.iwe, out_dir / "iwe_final.pgm")
     print(
         f"iterations: {len(trace)}  v = ({v.vx:.4f}, {v.vy:.4f})  "
         f"contrast: {trace.final_contrast:.6g}"
@@ -264,11 +260,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                    help="initial velocity guess, y component")
     p.add_argument("--roi-update-scale", type=float, dest="roi_update_scale")
     p.add_argument("--min-roi-events", type=int, dest="min_roi_events")
-    p.add_argument("--accumulator-mode", choices=("naive", "banked"),
-                   dest="accumulator_mode")
     p.add_argument("--output-dir", dest="output_dir")
     p.add_argument("--dump-iwe", action="store_true", dest="dump_iwe")
-    p.add_argument("--seed", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:

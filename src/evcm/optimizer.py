@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 from .events import EventBatch
 from .objective import Gradient, evaluate
-from .voting import BankedAccumulator, ImageSet, NaiveAccumulator
+from .voting import ImageSet, NaiveAccumulator
 from .warp import Velocity, warp_batch
 
 DEFAULT_GRID = (64, 64)
@@ -23,17 +24,20 @@ class OptimizerConfig:
     learning_rate: float | None = None  # None -> default_learning_rate(n)
     v_init: Velocity = field(default_factory=lambda: Velocity(0.0, 0.0))
     grad_tolerance: float = 0.0         # 0 disables early stopping
-    accumulator_mode: str = "naive"     # naive | banked
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.grad_tolerance < 0:
-            raise ValueError("grad_tolerance must be non-negative")
-        if self.accumulator_mode not in ("naive", "banked"):
-            raise ValueError(f"unknown accumulator mode {self.accumulator_mode!r}")
+        # chained comparisons are False for NaN, so NaN fails both checks
+        if self.learning_rate is not None and not 0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
+        if not 0 <= self.grad_tolerance < math.inf:
+            raise ValueError(
+                "grad_tolerance must be non-negative and finite, "
+                f"got {self.grad_tolerance}"
+            )
 
 
 @dataclass(frozen=True)
@@ -104,10 +108,7 @@ def estimate_motion(
     if shape is None:
         shape = batch.extent or DEFAULT_GRID
     eta = cfg.learning_rate if cfg.learning_rate is not None else default_learning_rate(n)
-    if cfg.accumulator_mode == "banked":
-        acc = BankedAccumulator(shape)
-    else:
-        acc = NaiveAccumulator(shape)
+    acc = NaiveAccumulator(shape)
     n_pixels = shape[0] * shape[1]
 
     v = cfg.v_init

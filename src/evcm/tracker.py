@@ -11,6 +11,7 @@ import numpy as np
 
 from .events import EventArray, Roi, filter_roi, make_batch
 from .optimizer import OptimizerConfig, estimate_motion, final_image_set
+from .voting import write_pgm
 from .warp import Velocity
 
 
@@ -30,6 +31,12 @@ class TrackerConfig:
             raise ValueError("batch_size must be >= 1")
         if self.min_roi_events < 0:
             raise ValueError("min_roi_events must be non-negative")
+        roi = self.roi_init
+        if roi.w > self.sensor_width or roi.h > self.sensor_height:
+            raise ValueError(
+                f"ROI {roi.w}x{roi.h} does not fit the "
+                f"{self.sensor_width}x{self.sensor_height} sensor"
+            )
 
 
 @dataclass(frozen=True)
@@ -115,7 +122,7 @@ def track(events: EventArray, cfg: TrackerConfig) -> TrackResult:
             contrast_val = trace.final_contrast
             if dump_dir is not None:
                 imgs = final_image_set(in_roi, v, (roi.w, roi.h))
-                imgs.write_pgm(dump_dir / f"iwe_{batch_index:04d}.pgm")
+                write_pgm(imgs.iwe, dump_dir / f"iwe_{batch_index:04d}.pgm")
         records.append(BatchRecord(batch_index, roi, v, contrast_val, n))
         roi = update_roi(roi, v, cfg.roi_update_scale, sensor=sensor)
         batch_index += 1

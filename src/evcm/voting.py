@@ -12,7 +12,8 @@ derivatives of that weight. Two accumulators are provided:
 
 The banked accumulator must produce results bit-identical to the naive one
 for any input; a forwarding-disabled variant exists only to demonstrate
-the hazard it fixes.
+the hazard it fixes. The estimator runs the naive accumulator; the banked
+one is driven directly, as a model of the datapath.
 
 Both consume one vote stream, built CHUNK_EVENTS events at a time, so the
 memory of an ``accumulate`` call does not grow with the batch. Temporaries
@@ -29,14 +30,13 @@ would change the rounding.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .warp import WarpedBatch, WarpedEvent
+from .warp import WarpedBatch
 
 # Accumulation pipeline: read, add, write-back. The forwarding buffer covers
 # exactly the in-flight window.
@@ -56,17 +56,6 @@ class VotingConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class VoteContribution:
-    """One pixel's share of a warped event: weight plus its two velocity
-    derivatives."""
-
-    pixel: tuple[int, int]  # (i, j) ROI-local
-    w: float
-    dwx: float
-    dwy: float
-
-
 @dataclass
 class ImageSet:
     """The three accumulated images over an ROI grid, plus accepted mass."""
@@ -75,15 +64,6 @@ class ImageSet:
     d_vx: np.ndarray  # (h, w)
     d_vy: np.ndarray  # (h, w)
     in_bounds_mass: float
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        h, w = self.iwe.shape
-        return (w, h)
-
-    def write_pgm(self, path, which: str = "iwe", scale: float | None = None) -> None:
-        grid = getattr(self, which)
-        write_pgm(grid, path, scale=scale)
 
 
 def write_pgm(grid: np.ndarray, path, scale: float | None = None) -> None:
@@ -97,32 +77,6 @@ def write_pgm(grid: np.ndarray, path, scale: float | None = None) -> None:
     lines = [f"P2", f"# scale {scale!r}", f"{w} {h}", "65535"]
     lines.extend(" ".join(str(v) for v in row) for row in values)
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def bilinear_votes(we: WarpedEvent, shape: tuple[int, int]) -> list[VoteContribution]:
-    """Vote contributions of one warped event to its four neighbor pixels.
-
-    Pixels outside [0, w) x [0, h) are dropped. Weights follow the bilinear
-    split of the fractional coordinates; the derivative entries are the
-    weight's sensitivity to vx and vy (chain rule through x' = x - dt*v).
-    """
-    w_dim, h_dim = shape
-    i = math.floor(we.xw)
-    j = math.floor(we.yw)
-    dx = we.xw - i
-    dy = we.yw - j
-    ndt = -we.norm_dt
-    cells = (
-        (i, j, (1.0 - dx) * (1.0 - dy), -(1.0 - dy), -(1.0 - dx)),
-        (i + 1, j, dx * (1.0 - dy), (1.0 - dy), -dx),
-        (i, j + 1, (1.0 - dx) * dy, -dy, (1.0 - dx)),
-        (i + 1, j + 1, dx * dy, dy, dx),
-    )
-    out = []
-    for ci, cj, w, dw_ddx, dw_ddy in cells:
-        if 0 <= ci < w_dim and 0 <= cj < h_dim:
-            out.append(VoteContribution((ci, cj), w, ndt * dw_ddx, ndt * dw_ddy))
-    return out
 
 
 def _vote_arrays(xs: np.ndarray, ys: np.ndarray, dts: np.ndarray,
@@ -186,17 +140,6 @@ def _vote_chunks(warped: WarpedBatch, shape: tuple[int, int]):
         yield _vote_arrays(warped.xs[s:e], warped.ys[s:e], warped.dts[s:e], shape)
 
 
-def _as_warped_batch(warped) -> WarpedBatch:
-    if isinstance(warped, WarpedBatch):
-        return warped
-    evs = list(warped)
-    return WarpedBatch(
-        xs=np.array([e.xw for e in evs], dtype=np.float64),
-        ys=np.array([e.yw for e in evs], dtype=np.float64),
-        dts=np.array([e.norm_dt for e in evs], dtype=np.float64),
-    )
-
-
 class NaiveAccumulator:
     """Dense-grid reference accumulator with clear-on-read."""
 
@@ -208,9 +151,9 @@ class NaiveAccumulator:
         # iwe, d_vx, d_vy; each row is one flattened padded grid
         self._grids = np.zeros((3, (h + 2 * PAD) * (w + 2 * PAD)))
 
-    def accumulate(self, warped) -> None:
+    def accumulate(self, warped: WarpedBatch) -> None:
         iwe, dvx, dvy = self._grids
-        for P, W, DWX, DWY in _vote_chunks(_as_warped_batch(warped), self.shape):
+        for P, W, DWX, DWY in _vote_chunks(warped, self.shape):
             flat = P.ravel()
             np.add.at(iwe, flat, W.ravel())
             np.add.at(dvx, flat, DWX.ravel())
@@ -283,7 +226,7 @@ class BankedAccumulator:
         w, h = shape
         if w % 2 != 0 or h % 2 != 0:
             raise VotingConfigError(
-                f"banked mode needs even grid dimensions, got {w}x{h}"
+                f"banked accumulator needs even grid dimensions, got {w}x{h}"
             )
         if w < 2 or h < 2:
             raise VotingConfigError(f"grid must be at least 2x2, got {w}x{h}")
@@ -293,13 +236,13 @@ class BankedAccumulator:
             role: [_Bank(n_words, forwarding) for _ in range(4)] for role in ROLES
         }
 
-    def accumulate(self, warped) -> None:
+    def accumulate(self, warped: WarpedBatch) -> None:
         w_dim, h_dim = self.shape
         half_w = w_dim // 2
         iwe_banks = self._banks["iwe"]
         dvx_banks = self._banks["d_vx"]
         dvy_banks = self._banks["d_vy"]
-        for P, W, DWX, DWY in _vote_chunks(_as_warped_batch(warped), self.shape):
+        for P, W, DWX, DWY in _vote_chunks(warped, self.shape):
             J, I = np.divmod(P.ravel(), w_dim + 2 * PAD)
             for i, j, w, dwx, dwy in zip(
                 (I - PAD).tolist(), (J - PAD).tolist(),
@@ -345,19 +288,3 @@ class BankedAccumulator:
                 b.clear()
         return imgs
 
-
-def clear_on_read(acc) -> ImageSet:
-    """Read the accumulated grids and reset the accumulator to zero."""
-    return acc.read_and_clear()
-
-
-def accumulate_naive(warped, shape: tuple[int, int]) -> ImageSet:
-    acc = NaiveAccumulator(shape)
-    acc.accumulate(warped)
-    return acc.read_and_clear()
-
-
-def accumulate_banked(warped, shape: tuple[int, int], forwarding: bool = True) -> ImageSet:
-    acc = BankedAccumulator(shape, forwarding=forwarding)
-    acc.accumulate(warped)
-    return acc.read_and_clear()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -24,17 +23,8 @@ class Velocity:
 
 
 @dataclass(frozen=True)
-class WarpedEvent:
-    """Event displaced to the reference time; sub-pixel, ROI-local coords."""
-
-    xw: float
-    yw: float
-    norm_dt: float
-
-
-@dataclass(frozen=True)
 class WarpedBatch:
-    """Column-oriented warped batch; iterates as WarpedEvent for convenience."""
+    """Column-oriented warped batch: sub-pixel, ROI-local coordinates."""
 
     xs: np.ndarray   # float64
     ys: np.ndarray   # float64
@@ -43,18 +33,10 @@ class WarpedBatch:
     def __len__(self) -> int:
         return int(self.xs.shape[0])
 
-    def __iter__(self) -> Iterator[WarpedEvent]:
-        for x, y, dt in zip(self.xs, self.ys, self.dts):
-            yield WarpedEvent(float(x), float(y), float(dt))
-
-
-def warp_event(x: float, y: float, norm_dt: float, v: Velocity) -> WarpedEvent:
-    """Displace one event: x' = x - dt*vx, y' = y - dt*vy."""
-    return WarpedEvent(x - norm_dt * v.vx, y - norm_dt * v.vy, norm_dt)
-
 
 def warp_batch(batch: EventBatch, v: Velocity) -> WarpedBatch:
-    """Warp every event in the batch; order preserved, coordinates unclamped."""
+    """Warp every event in the batch: x' = x - dt*vx, y' = y - dt*vy; order
+    preserved, coordinates unclamped."""
     dts = batch.norm_dts
     xs = batch.xs.astype(np.float64) - dts * v.vx
     ys = batch.ys.astype(np.float64) - dts * v.vy

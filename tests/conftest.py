@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from evcm.events import EventArray, EventBatch, make_batch
+from evcm.voting import ImageSet, NaiveAccumulator
+from evcm.warp import WarpedBatch
 
 
 def event_array(ts, xs, ys, ps=None) -> EventArray:
@@ -39,6 +41,15 @@ def random_interior_batch(
     ys = rng.integers(margin, h - margin, size=n_events)
     ps = rng.choice([-1, 1], size=n_events)
     return batch_from_arrays(ts, xs, ys, ps)
+
+
+def accumulate_images(
+    warped: WarpedBatch, shape, cls=NaiveAccumulator, **kwargs
+) -> ImageSet:
+    """Accumulate one warped batch into a fresh accumulator and read it."""
+    acc = cls(shape, **kwargs)
+    acc.accumulate(warped)
+    return acc.read_and_clear()
 
 
 @pytest.fixture

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import io
+import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 from evcm.events import EventParseError, EventValidationError
+from evcm.warp import Velocity
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
@@ -68,3 +71,60 @@ def write_events_scalar(scene, path) -> None:
         for t, x, y, p in zip(scene.ts, scene.xs, scene.ys, scene.ps)
     ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+@dataclass(frozen=True)
+class WarpedEvent:
+    """Event displaced to the reference time; sub-pixel, ROI-local coords."""
+
+    xw: float
+    yw: float
+    norm_dt: float
+
+
+def warp_event(x: float, y: float, norm_dt: float, v: Velocity) -> WarpedEvent:
+    """Displace one event: x' = x - dt*vx, y' = y - dt*vy."""
+    return WarpedEvent(x - norm_dt * v.vx, y - norm_dt * v.vy, norm_dt)
+
+
+def warped_events(warped) -> Iterator[WarpedEvent]:
+    """A ``WarpedBatch`` as one ``WarpedEvent`` per event, in order."""
+    for x, y, dt in zip(warped.xs, warped.ys, warped.dts):
+        yield WarpedEvent(float(x), float(y), float(dt))
+
+
+@dataclass(frozen=True)
+class VoteContribution:
+    """One pixel's share of a warped event: weight plus its two velocity
+    derivatives."""
+
+    pixel: tuple[int, int]  # (i, j) ROI-local
+    w: float
+    dwx: float
+    dwy: float
+
+
+def bilinear_votes(we: WarpedEvent, shape: tuple[int, int]) -> list[VoteContribution]:
+    """Vote contributions of one warped event to its four neighbor pixels.
+
+    Pixels outside [0, w) x [0, h) are dropped. Weights follow the bilinear
+    split of the fractional coordinates; the derivative entries are the
+    weight's sensitivity to vx and vy (chain rule through x' = x - dt*v).
+    """
+    w_dim, h_dim = shape
+    i = math.floor(we.xw)
+    j = math.floor(we.yw)
+    dx = we.xw - i
+    dy = we.yw - j
+    ndt = -we.norm_dt
+    cells = (
+        (i, j, (1.0 - dx) * (1.0 - dy), -(1.0 - dy), -(1.0 - dx)),
+        (i + 1, j, dx * (1.0 - dy), (1.0 - dy), -dx),
+        (i, j + 1, (1.0 - dx) * dy, -dy, (1.0 - dx)),
+        (i + 1, j + 1, dx * dy, dy, dx),
+    )
+    out = []
+    for ci, cj, w, dw_ddx, dw_ddy in cells:
+        if 0 <= ci < w_dim and 0 <= cj < h_dim:
+            out.append(VoteContribution((ci, cj), w, ndt * dw_ddx, ndt * dw_ddy))
+    return out

@@ -19,10 +19,10 @@ from evcm.objective import analytic_gradient, contrast
 from evcm.optimizer import OptimizerConfig, estimate_motion
 from evcm.synth import SceneConfig, generate_scene
 from evcm.tracker import TrackerConfig, track
-from evcm.voting import accumulate_banked, accumulate_naive, _vote_arrays
+from evcm.voting import BankedAccumulator, _vote_arrays
 from evcm.warp import Velocity, WarpedBatch, warp_batch
 
-from conftest import batch_from_arrays, random_interior_batch
+from conftest import accumulate_images, batch_from_arrays, random_interior_batch
 from test_objective import fd_gradient, probe_is_smooth
 
 # ---------------------------------------------------------------------------
@@ -65,7 +65,7 @@ def scene_batch(scene, velocity, noise, seed):
 
 
 def contrast_at(batch, vx, vy, shape=(64, 64)):
-    imgs = accumulate_naive(warp_batch(batch, Velocity(vx, vy)), shape)
+    imgs = accumulate_images(warp_batch(batch, Velocity(vx, vy)), shape)
     return contrast(imgs.iwe)[0]
 
 
@@ -128,7 +128,7 @@ def test_criterion_3_gradient_matches_finite_differences():
         # step of) an integer grid line
         if not probe_is_smooth(batch, v, shape):
             continue
-        g = analytic_gradient(accumulate_naive(warp_batch(batch, v), shape))
+        g = analytic_gradient(accumulate_images(warp_batch(batch, v), shape))
         fx, fy = fd_gradient(batch, v, shape)
         for a, f in ((g.d_vx, fx), (g.d_vy, fy)):
             rel = abs(a - f) / (abs(a) + 1e-9)
@@ -168,13 +168,13 @@ def test_criterion_4_banked_accumulator_equivalence():
     for k in range(n_streams):
         adversarial = k % 2 == 0
         warped = _random_stream(rng, adversarial)
-        ref = accumulate_naive(warped, shape)
-        out = accumulate_banked(warped, shape)
+        ref = accumulate_images(warped, shape)
+        out = accumulate_images(warped, shape, BankedAccumulator)
         assert np.array_equal(out.iwe, ref.iwe)
         assert np.array_equal(out.d_vx, ref.d_vx)
         assert np.array_equal(out.d_vy, ref.d_vy)
         if adversarial and not hazard_demonstrated:
-            broken = accumulate_banked(warped, shape, forwarding=False)
+            broken = accumulate_images(warped, shape, BankedAccumulator, forwarding=False)
             if not np.array_equal(broken.iwe, ref.iwe):
                 hazard_demonstrated = True
     # without forwarding, back-to-back updates to one address read stale

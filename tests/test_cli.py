@@ -31,7 +31,7 @@ class TestRunConfig:
             input_path="x.txt",
             roi_x0=3.5,
             learning_rate=0.25,
-            accumulator_mode="banked",
+            output_dir="runs/a",
             dump_iwe=True,
         )
         again = RunConfig.from_text(cfg.to_text())
@@ -45,6 +45,11 @@ class TestRunConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             RunConfig.from_text("no_such_key = 1")
+
+    @pytest.mark.parametrize("line", ["seed = 3", "accumulator_mode = banked"])
+    def test_removed_keys_rejected(self, line):
+        with pytest.raises(ValueError, match="unknown key"):
+            RunConfig.from_text(line)
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
@@ -110,6 +115,23 @@ class TestTrackCommand:
         )
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: line 3: ")
+
+    def test_roi_larger_than_sensor_fails(self, fixture_events, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(
+            ["track", "--input", str(fixture_events), "--batch-size", "2000",
+             "--roi", "300x64", "--output-dir", str(out)]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ROI 300x64 does not fit")
+        assert not (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--accumulator-mode", "--seed"])
+    def test_removed_run_flags_rejected(self, fixture_events, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["track", "--input", str(fixture_events), flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, fixture_events, tmp_path):
         cfg_path = tmp_path / "run.cfg"

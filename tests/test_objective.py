@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from evcm.objective import analytic_gradient, contrast, evaluate
-from evcm.voting import ImageSet, accumulate_naive
+from evcm.voting import ImageSet
 from evcm.warp import Velocity, warp_batch
 
-from conftest import random_interior_batch
+from conftest import accumulate_images, random_interior_batch
 
 
 def imageset(iwe, d_vx=None, d_vy=None) -> ImageSet:
@@ -92,12 +92,12 @@ def fd_gradient(batch, v, shape, step=1e-4):
     out = []
     for dvx, dvy in ((step, 0.0), (0.0, step)):
         c_plus = contrast(
-            accumulate_naive(
+            accumulate_images(
                 warp_batch(batch, Velocity(v.vx + dvx, v.vy + dvy)), shape
             ).iwe
         )[0]
         c_minus = contrast(
-            accumulate_naive(
+            accumulate_images(
                 warp_batch(batch, Velocity(v.vx - dvx, v.vy - dvy)), shape
             ).iwe
         )[0]
@@ -131,7 +131,7 @@ class TestFiniteDifferenceAgreement:
             v = Velocity(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
             if not probe_is_smooth(batch, v, shape):
                 continue
-            imgs = accumulate_naive(warp_batch(batch, v), shape)
+            imgs = accumulate_images(warp_batch(batch, v), shape)
             g = analytic_gradient(imgs)
             fx, fy = fd_gradient(batch, v, shape)
             assert abs(g.d_vx - fx) <= 1e-3 * (abs(g.d_vx) + 1e-9)

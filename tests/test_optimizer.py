@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evcm.events import make_batch
-from evcm.objective import analytic_gradient
+from evcm.objective import analytic_gradient, evaluate
 from evcm.optimizer import (
     LEARNING_RATE_SCALE,
     OptimizationError,
@@ -14,10 +14,10 @@ from evcm.optimizer import (
     final_image_set,
 )
 from evcm.synth import SceneConfig, generate_scene
-from evcm.voting import accumulate_naive
+from evcm.voting import BankedAccumulator
 from evcm.warp import Velocity, warp_batch
 
-from conftest import random_interior_batch
+from conftest import accumulate_images, random_interior_batch
 
 
 def small_scene_batch(velocity=(2.0, -1.5), seed=3, n=800):
@@ -42,8 +42,11 @@ class TestConfigValidation:
             OptimizerConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             OptimizerConfig(grad_tolerance=-1.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(accumulator_mode="magic")
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="learning_rate"):
+                OptimizerConfig(learning_rate=bad)
+            with pytest.raises(ValueError, match="grad_tolerance"):
+                OptimizerConfig(grad_tolerance=bad)
 
     def test_default_learning_rate_rule(self):
         assert default_learning_rate(999) == LEARNING_RATE_SCALE / 1000
@@ -76,7 +79,7 @@ class TestEstimateMotion:
     def test_single_step_contract(self, rng):
         batch = random_interior_batch(rng, 120)
         v0 = Velocity(0.25, -0.5)
-        imgs = accumulate_naive(warp_batch(batch, v0), (64, 64))
+        imgs = accumulate_images(warp_batch(batch, v0), (64, 64))
         g = analytic_gradient(imgs)
         v, trace = estimate_motion(
             batch,
@@ -139,18 +142,20 @@ class TestEstimateMotion:
         )
         assert len(trace) == 1
 
-    def test_mode_equivalence_banked_vs_naive(self, rng):
+    def test_banked_replay_of_every_iteration_matches_record(self, rng):
+        # the banked datapath, fed the batch warped at each visited velocity,
+        # gives the contrast and gradient the ascent recorded, bit for bit
         batch = random_interior_batch(rng, 60, grid=(16, 16), margin=3)
-        kwargs = dict(iterations=15, learning_rate=0.05)
-        v_n, t_n = estimate_motion(
-            batch, OptimizerConfig(accumulator_mode="naive", **kwargs), shape=(16, 16)
+        _, trace = estimate_motion(
+            batch, OptimizerConfig(iterations=15, learning_rate=0.05), shape=(16, 16)
         )
-        v_b, t_b = estimate_motion(
-            batch, OptimizerConfig(accumulator_mode="banked", **kwargs), shape=(16, 16)
-        )
-        assert (v_n.vx, v_n.vy) == (v_b.vx, v_b.vy)
-        for rn, rb in zip(t_n.records, t_b.records):
-            assert rn == rb
+        assert len(trace) == 15
+        acc = BankedAccumulator((16, 16))
+        for r in trace.records:
+            acc.accumulate(warp_batch(batch, r.v))
+            report = evaluate(acc.read_and_clear())
+            assert report.contrast == r.contrast
+            assert (report.grad.d_vx, report.grad.d_vy) == (r.grad.d_vx, r.grad.d_vy)
 
     def test_determinism(self, rng):
         batch = random_interior_batch(rng, 200)
@@ -184,5 +189,5 @@ class TestFinalImageSet:
         batch = random_interior_batch(rng, 80)
         v = Velocity(1.0, -0.5)
         imgs = final_image_set(batch, v, (64, 64))
-        ref = accumulate_naive(warp_batch(batch, v), (64, 64))
+        ref = accumulate_images(warp_batch(batch, v), (64, 64))
         assert np.array_equal(imgs.iwe, ref.iwe)

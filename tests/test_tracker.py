@@ -32,6 +32,19 @@ class TestUpdateRoi:
         assert (out.x0, out.y0) == (176, 0)
 
 
+class TestTrackerConfig:
+    @pytest.mark.parametrize("w,h", [(300, 64), (64, 181), (241, 181)])
+    def test_roi_larger_than_sensor_rejected(self, w, h):
+        # an oversize ROI would be clamped to a negative origin
+        with pytest.raises(ValueError, match=f"ROI {w}x{h} does not fit"):
+            TrackerConfig(roi_init=Roi(0, 0, w, h))
+
+    def test_roi_filling_the_sensor_accepted(self):
+        cfg = TrackerConfig(roi_init=Roi(0, 0, 240, 180))
+        out = update_roi(cfg.roi_init, Velocity(5, -5), sensor=(240, 180))
+        assert (out.x0, out.y0) == (0, 0)
+
+
 def scene_events(velocity=(3.0, -2.0), start=(50.0, 100.0), batches=10, seed=7,
                  scene="square", object_size=24, edge_jitter=1.5, noise=0.05,
                  events_per_batch=2000):

@@ -12,13 +12,12 @@ from evcm.voting import (
     BankedAccumulator,
     NaiveAccumulator,
     VotingConfigError,
-    accumulate_banked,
-    accumulate_naive,
-    bilinear_votes,
-    clear_on_read,
     write_pgm,
 )
-from evcm.warp import WarpedBatch, WarpedEvent
+from evcm.warp import WarpedBatch
+
+from conftest import accumulate_images
+from oracles import WarpedEvent, bilinear_votes, warped_events
 
 
 def wbatch(xs, ys, dts) -> WarpedBatch:
@@ -84,7 +83,7 @@ class TestBilinearVotes:
 
 class TestNaiveAccumulator:
     def test_empty_input(self):
-        imgs = accumulate_naive(wbatch([], [], []), (8, 8))
+        imgs = accumulate_images(wbatch([], [], []), (8, 8))
         assert imgs.iwe.shape == (8, 8)
         assert not imgs.iwe.any()
         assert imgs.in_bounds_mass == 0.0
@@ -94,22 +93,16 @@ class TestNaiveAccumulator:
         w = wbatch(
             rng.uniform(1, 14, n), rng.uniform(1, 14, n), rng.uniform(-1, 1, n)
         )
-        imgs = accumulate_naive(w, (16, 16))
+        imgs = accumulate_images(w, (16, 16))
         assert imgs.in_bounds_mass == pytest.approx(n, rel=1e-12)
         assert imgs.iwe.sum() == pytest.approx(n, rel=1e-12)
 
     def test_single_event_derivative_rows_cancel(self):
-        imgs = accumulate_naive(wbatch([5.5], [7.5], [1.0]), (16, 16))
+        imgs = accumulate_images(wbatch([5.5], [7.5], [1.0]), (16, 16))
         assert np.count_nonzero(imgs.iwe) == 4
         assert np.all(imgs.iwe[imgs.iwe != 0] == 0.25)
         assert imgs.d_vx.sum() == pytest.approx(0.0, abs=1e-12)
         assert imgs.d_vy.sum() == pytest.approx(0.0, abs=1e-12)
-
-    def test_accepts_warped_event_iterables(self):
-        evs = [WarpedEvent(3.25, 4.5, 0.5), WarpedEvent(6.0, 2.0, -0.5)]
-        a = accumulate_naive(evs, (16, 16))
-        b = accumulate_naive(wbatch([3.25, 6.0], [4.5, 2.0], [0.5, -0.5]), (16, 16))
-        assert np.array_equal(a.iwe, b.iwe)
 
     def test_tiny_grid_rejected(self):
         with pytest.raises(VotingConfigError):
@@ -121,9 +114,9 @@ class TestClearOnRead:
     def test_second_read_is_zero(self, cls, rng):
         acc = cls((8, 8))
         acc.accumulate(random_warped(rng, 40, (8, 8)))
-        first = clear_on_read(acc)
+        first = acc.read_and_clear()
         assert first.iwe.any()
-        second = clear_on_read(acc)
+        second = acc.read_and_clear()
         assert not second.iwe.any()
         assert not second.d_vx.any()
         assert not second.d_vy.any()
@@ -134,13 +127,13 @@ class TestClearOnRead:
         b = random_warped(rng, 30, (8, 8))
         acc = cls((8, 8))
         acc.accumulate(a)
-        clear_on_read(acc)
+        acc.read_and_clear()
         acc.accumulate(b)
-        assert np.array_equal(clear_on_read(acc).iwe, accumulate_naive(b, (8, 8)).iwe)
+        assert np.array_equal(acc.read_and_clear().iwe, accumulate_images(b, (8, 8)).iwe)
 
     @pytest.mark.parametrize("cls", [NaiveAccumulator, BankedAccumulator])
     def test_fresh_accumulator_reads_zero(self, cls):
-        assert not clear_on_read(cls((8, 8))).iwe.any()
+        assert not cls((8, 8)).read_and_clear().iwe.any()
 
 
 def assert_imagesets_identical(a, b):
@@ -152,15 +145,15 @@ def assert_imagesets_identical(a, b):
 class TestBankedEquivalence:
     def test_three_same_pixel_events(self):
         w = wbatch([4.25, 4.25, 4.25], [4.25, 4.25, 4.25], [0.5, 0.5, 0.5])
-        banked = accumulate_banked(w, (8, 8))
-        naive = accumulate_naive(w, (8, 8))
+        banked = accumulate_images(w, (8, 8), BankedAccumulator)
+        naive = accumulate_images(w, (8, 8))
         assert_imagesets_identical(banked, naive)
         assert banked.iwe[4, 4] == 3 * 0.75 * 0.75
 
     def test_forwarding_disabled_loses_updates(self):
         w = wbatch([4.25] * 3, [4.25] * 3, [0.5] * 3)
-        broken = accumulate_banked(w, (8, 8), forwarding=False)
-        naive = accumulate_naive(w, (8, 8))
+        broken = accumulate_images(w, (8, 8), BankedAccumulator, forwarding=False)
+        naive = accumulate_images(w, (8, 8))
         assert not np.array_equal(broken.iwe, naive.iwe)
 
     def test_bank_occupancy_one_per_parity(self):
@@ -181,7 +174,8 @@ class TestBankedEquivalence:
                 rng, int(rng.integers(1, 50)), (8, 8), concentrated=concentrated
             )
             assert_imagesets_identical(
-                accumulate_banked(w, (8, 8)), accumulate_naive(w, (8, 8))
+                accumulate_images(w, (8, 8), BankedAccumulator),
+                accumulate_images(w, (8, 8)),
             )
 
 
@@ -190,7 +184,7 @@ def scalar_oracle(warped: WarpedBatch, shape) -> tuple[np.ndarray, ...]:
     (event, corner) order with Python floats."""
     w, h = shape
     grids = [[[0.0] * w for _ in range(h)] for _ in range(3)]
-    for we in warped:
+    for we in warped_events(warped):
         for v in bilinear_votes(we, shape):
             i, j = v.pixel
             grids[0][j][i] += v.w
@@ -228,8 +222,9 @@ class TestChunkBoundaries:
     )
     def test_naive_banked_and_scalar_oracle_bit_identical(self, rng, n):
         warped = edge_stream(rng, n, self.GRID)
-        naive = accumulate_naive(warped, self.GRID)
-        assert_imagesets_identical(accumulate_banked(warped, self.GRID), naive)
+        naive = accumulate_images(warped, self.GRID)
+        banked = accumulate_images(warped, self.GRID, BankedAccumulator)
+        assert_imagesets_identical(banked, naive)
         iwe, dvx, dvy = scalar_oracle(warped, self.GRID)
         assert np.array_equal(naive.iwe, iwe)
         assert np.array_equal(naive.d_vx, dvx)
@@ -241,7 +236,7 @@ class TestChunkBoundaries:
         xs = bad + [5.5] * k + bad
         ys = [5.5] * k + bad + bad
         with np.errstate(invalid="ignore"):  # inf - floor(inf) is nan
-            imgs = accumulate_naive(wbatch(xs, ys, [0.5] * 3 * k), self.GRID)
+            imgs = accumulate_images(wbatch(xs, ys, [0.5] * 3 * k), self.GRID)
         assert not imgs.iwe.any() and not imgs.d_vx.any() and not imgs.d_vy.any()
         assert imgs.in_bounds_mass == 0.0
 
@@ -297,6 +292,6 @@ class TestPgmExport:
         assert lines[5].split() == ["32768", "65535"]
 
     def test_imageset_write(self, tmp_path, rng):
-        imgs = accumulate_naive(random_warped(rng, 30, (8, 8)), (8, 8))
-        imgs.write_pgm(tmp_path / "iwe.pgm")
+        imgs = accumulate_images(random_warped(rng, 30, (8, 8)), (8, 8))
+        write_pgm(imgs.iwe, tmp_path / "iwe.pgm")
         assert (tmp_path / "iwe.pgm").read_text(encoding="ascii").startswith("P2")

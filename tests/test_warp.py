@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from evcm.warp import Velocity, warp_batch, warp_event
+from evcm.warp import Velocity, warp_batch
 
 from conftest import batch_from_arrays, random_interior_batch
+from oracles import warp_event
 
 
 class TestWarpEvent:
@@ -50,9 +51,9 @@ class TestWarpBatch:
         b = random_interior_batch(rng, 20)
         v = Velocity(1.25, -0.75)
         w = warp_batch(b, v)
-        for k, we in enumerate(w):
+        for k in range(len(b)):
             ref = warp_event(float(b.xs[k]), float(b.ys[k]), float(b.norm_dts[k]), v)
-            assert we.xw == ref.xw and we.yw == ref.yw
+            assert w.xs[k] == ref.xw and w.ys[k] == ref.yw
 
     def test_affine_in_velocity(self, rng):
         b = random_interior_batch(rng, 30)
