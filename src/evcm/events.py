@@ -2,8 +2,9 @@
 
 Events stay columnar from the parser to the tracker: ``parse_events``
 returns an ``EventArray`` of int64/int8 columns, and batches are built from
-its slices. An event batch carries its events together with the reference
-time (the batch midpoint) and per-event time offsets normalized to [-1, 1].
+its slices. An event batch carries the event coordinates together with the
+reference time (the batch midpoint) and per-event time offsets normalized
+to [-1, 1].
 ROI filtering re-bases coordinates to be relative to the ROI origin; the
 normalization computed on the full batch is kept, so filtering never
 changes the time scale.
@@ -74,25 +75,21 @@ class Roi:
 
 @dataclass(frozen=True)
 class EventBatch:
-    """Ordered event collection with derived reference time and normalized dts.
+    """Event coordinates with the batch's reference time and normalized dts.
 
     Coordinates are relative to ``origin`` (global pixel offset); a batch
-    built straight from the stream has origin (0, 0). ``extent`` is the
-    (w, h) of the ROI the batch was filtered to, if any.
+    built straight from the stream has origin (0, 0).
     """
 
-    ts: np.ndarray        # int64, microseconds, non-decreasing
     xs: np.ndarray        # int64, origin-relative columns
     ys: np.ndarray        # int64, origin-relative rows
-    ps: np.ndarray        # int8, -1/+1
     t_ref: float          # microseconds
     half_span_us: float   # (t_last - t_first) / 2
     norm_dts: np.ndarray  # float64 in [-1, 1]
     origin: tuple[int, int] = (0, 0)
-    extent: tuple[int, int] | None = None
 
     def __len__(self) -> int:
-        return int(self.ts.shape[0])
+        return int(self.xs.shape[0])
 
 
 def _ascii_table(to_space: bytes = b"", to_newline: bytes = b"") -> bytes:
@@ -242,9 +239,7 @@ def _line_error(line: bytes, line_no: int, as_text: bool, sensor_size) -> ValueE
 
 
 def parse_events(
-    source,
-    fmt: str = "text",
-    sensor_size: tuple[int, int] | None = None,
+    source, sensor_size: tuple[int, int] | None = None
 ) -> EventArray:
     """Parse a line-oriented ``t x y p`` event source into columns.
 
@@ -258,8 +253,6 @@ def parse_events(
     the sensor or below zero ``EventValidationError``, each carrying the
     1-based number of the first bad line.
     """
-    if fmt != "text":
-        raise ValueError(f"unsupported format: {fmt!r}")
     buf = _read_source(source)
     if b"#" in buf:
         buf = _COMMENT_LINE.sub(b"", buf)  # keeps the "\n", so lines still count
@@ -290,7 +283,7 @@ def make_batch(events: EventArray) -> EventBatch:
         norm_dts = (ts.astype(np.float64) - t_ref) / half
     else:
         norm_dts = np.zeros(n, dtype=np.float64)
-    return EventBatch(ts, events.xs, events.ys, events.ps, t_ref, half, norm_dts)
+    return EventBatch(events.xs, events.ys, t_ref, half, norm_dts)
 
 
 def filter_roi(batch: EventBatch, roi: Roi) -> EventBatch:
@@ -313,11 +306,8 @@ def filter_roi(batch: EventBatch, roi: Roi) -> EventBatch:
     )
     return replace(
         batch,
-        ts=batch.ts[mask],
         xs=batch.xs[mask] - lx0,
         ys=batch.ys[mask] - ly0,
-        ps=batch.ps[mask],
         norm_dts=batch.norm_dts[mask],
         origin=(gx0, gy0),
-        extent=(roi.w, roi.h),
     )

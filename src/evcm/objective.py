@@ -26,7 +26,6 @@ class Gradient:
 @dataclass(frozen=True)
 class ContrastReport:
     contrast: float  # population variance of the IWE, >= 0
-    mean: float
     grad: Gradient
 
 
@@ -63,5 +62,4 @@ def analytic_gradient(imgs: ImageSet) -> Gradient:
 
 def evaluate(imgs: ImageSet) -> ContrastReport:
     """Contrast and gradient of one accumulated image set."""
-    var, mu = contrast(imgs.iwe)
-    return ContrastReport(contrast=var, mean=mu, grad=analytic_gradient(imgs))
+    return ContrastReport(contrast=contrast(imgs.iwe)[0], grad=analytic_gradient(imgs))

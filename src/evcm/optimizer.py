@@ -11,8 +11,6 @@ from .objective import Gradient, evaluate
 from .voting import ImageSet, NaiveAccumulator
 from .warp import Velocity, warp_batch
 
-DEFAULT_GRID = (64, 64)
-
 
 class OptimizationError(RuntimeError):
     pass
@@ -23,7 +21,6 @@ class OptimizerConfig:
     iterations: int = 100
     learning_rate: float | None = None  # None -> default_learning_rate(n)
     v_init: Velocity = field(default_factory=lambda: Velocity(0.0, 0.0))
-    grad_tolerance: float = 0.0         # 0 disables early stopping
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -32,11 +29,6 @@ class OptimizerConfig:
         if self.learning_rate is not None and not 0 < self.learning_rate < math.inf:
             raise ValueError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}"
-            )
-        if not 0 <= self.grad_tolerance < math.inf:
-            raise ValueError(
-                "grad_tolerance must be non-negative and finite, "
-                f"got {self.grad_tolerance}"
             )
 
 
@@ -90,23 +82,20 @@ def default_learning_rate(n_events: int) -> float:
 def estimate_motion(
     batch: EventBatch,
     cfg: OptimizerConfig,
-    shape: tuple[int, int] | None = None,
+    shape: tuple[int, int],
 ) -> tuple[Velocity, OptimizationTrace]:
-    """Run the fixed-iteration gradient ascent and return the final velocity.
+    """Run ``cfg.iterations`` gradient-ascent steps on the (w, h) ROI grid
+    ``shape`` and return the final velocity.
 
     Each iteration warps the batch at the current velocity, accumulates the
     three images, evaluates contrast and gradient, then steps the velocity.
     An iteration whose votes all land outside the grid raises
     ``OptimizationError``: the velocity has run away, and every later step
-    would be taken on an empty image. With a positive ``grad_tolerance`` the
-    loop stops once the gradient norm falls below it; by default all
-    iterations run.
+    would be taken on an empty image.
     """
     n = len(batch)
     if n == 0:
         raise ValueError("cannot estimate motion from an empty batch")
-    if shape is None:
-        shape = batch.extent or DEFAULT_GRID
     eta = cfg.learning_rate if cfg.learning_rate is not None else default_learning_rate(n)
     acc = NaiveAccumulator(shape)
     n_pixels = shape[0] * shape[1]
@@ -132,8 +121,6 @@ def estimate_motion(
             raise OptimizationError(f"non-finite gradient at iteration {it}")
         records.append(IterationRecord(it, v, report.contrast, report.grad))
         v = Velocity(v.vx + eta * report.grad.d_vx, v.vy + eta * report.grad.d_vy)
-        if cfg.grad_tolerance > 0 and report.grad.norm < cfg.grad_tolerance:
-            break
     trace = OptimizationTrace(
         records=records,
         final_v=v,

@@ -37,6 +37,15 @@ class TrackerConfig:
                 f"ROI {roi.w}x{roi.h} does not fit the "
                 f"{self.sensor_width}x{self.sensor_height} sensor"
             )
+        # chained comparisons are False for NaN, so NaN fails the check
+        if not (0 <= roi.x0 <= self.sensor_width - roi.w
+                and 0 <= roi.y0 <= self.sensor_height - roi.h):
+            raise ValueError(
+                f"ROI origin ({roi.x0}, {roi.y0}) must lie in "
+                f"[0, {self.sensor_width - roi.w}] x [0, {self.sensor_height - roi.h}] "
+                f"for a {roi.w}x{roi.h} ROI on the "
+                f"{self.sensor_width}x{self.sensor_height} sensor"
+            )
 
 
 @dataclass(frozen=True)
@@ -68,23 +77,12 @@ class TrackResult:
         return buf.getvalue()
 
 
-def update_roi(
-    roi: Roi,
-    v: Velocity,
-    scale: float = 1.0,
-    sensor: tuple[int, int] | None = None,
-) -> Roi:
-    """Advance the ROI origin by the scaled velocity; size unchanged.
-
-    With a sensor size given, the origin is clamped so the ROI never leaves
-    the frame.
-    """
-    x0 = roi.x0 + scale * v.vx
-    y0 = roi.y0 + scale * v.vy
-    if sensor is not None:
-        sw, sh = sensor
-        x0 = min(max(x0, 0.0), float(sw - roi.w))
-        y0 = min(max(y0, 0.0), float(sh - roi.h))
+def update_roi(roi: Roi, v: Velocity, scale: float, sensor: tuple[int, int]) -> Roi:
+    """Advance the ROI origin by the scaled velocity, clamped so the ROI never
+    leaves the (w, h) ``sensor``; size unchanged."""
+    sw, sh = sensor
+    x0 = min(max(roi.x0 + scale * v.vx, 0.0), float(sw - roi.w))
+    y0 = min(max(roi.y0 + scale * v.vy, 0.0), float(sh - roi.h))
     return Roi(x0, y0, roi.w, roi.h)
 
 

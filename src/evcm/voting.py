@@ -66,12 +66,12 @@ class ImageSet:
     in_bounds_mass: float
 
 
-def write_pgm(grid: np.ndarray, path, scale: float | None = None) -> None:
-    """Export a grid as 16-bit ASCII PGM; the scale factor applied to the
-    raw values is recorded in a header comment."""
-    if scale is None:
-        peak = float(grid.max()) if grid.size else 0.0
-        scale = 65535.0 / peak if peak > 0 else 1.0
+def write_pgm(grid: np.ndarray, path) -> None:
+    """Export a grid as 16-bit ASCII PGM, scaled so its peak maps to 65535;
+    the scale factor applied to the raw values is recorded in a header
+    comment."""
+    peak = float(grid.max()) if grid.size else 0.0
+    scale = 65535.0 / peak if peak > 0 else 1.0
     values = np.clip(np.rint(grid * scale), 0, 65535).astype(np.uint16)
     h, w = values.shape
     lines = [f"P2", f"# scale {scale!r}", f"{w} {h}", "65535"]

@@ -126,6 +126,16 @@ class TestTrackCommand:
         assert capsys.readouterr().err.startswith("error: ROI 300x64 does not fit")
         assert not (out / "trajectory.csv").exists()
 
+    def test_roi_origin_off_the_sensor_fails(self, fixture_events, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(
+            ["track", "--input", str(fixture_events), "--batch-size", "2000",
+             "--roi-x0", "500", "--roi-y0", "68", "--output-dir", str(out)]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ROI origin (500.0, 68.0)")
+        assert not (out / "trajectory.csv").exists()
+
     @pytest.mark.parametrize("flag", ["--accumulator-mode", "--seed"])
     def test_removed_run_flags_rejected(self, fixture_events, flag, capsys):
         with pytest.raises(SystemExit) as exc:

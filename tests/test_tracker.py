@@ -15,19 +15,19 @@ from conftest import event_array
 class TestUpdateRoi:
     def test_zero_velocity_unchanged(self):
         roi = Roi(10, 20, 64, 64)
-        assert update_roi(roi, Velocity(0, 0)) == roi
+        assert update_roi(roi, Velocity(0, 0), 1.0, sensor=(240, 180)) == roi
 
     def test_direct_update(self):
-        out = update_roi(Roi(10, 20, 64, 64), Velocity(3, -2), scale=1.0)
+        out = update_roi(Roi(10, 20, 64, 64), Velocity(3, -2), 1.0, sensor=(240, 180))
         assert (out.x0, out.y0, out.w, out.h) == (13, 18, 64, 64)
 
     def test_scale_applied(self):
-        out = update_roi(Roi(10, 20, 64, 64), Velocity(3, -2), scale=2.0)
+        out = update_roi(Roi(10, 20, 64, 64), Velocity(3, -2), 2.0, sensor=(240, 180))
         assert (out.x0, out.y0) == (16, 16)
 
     def test_clamped_to_sensor(self):
         out = update_roi(
-            Roi(170, 20, 64, 64), Velocity(50, -100), sensor=(240, 180)
+            Roi(170, 20, 64, 64), Velocity(50, -100), 1.0, sensor=(240, 180)
         )
         assert (out.x0, out.y0) == (176, 0)
 
@@ -39,9 +39,24 @@ class TestTrackerConfig:
         with pytest.raises(ValueError, match=f"ROI {w}x{h} does not fit"):
             TrackerConfig(roi_init=Roi(0, 0, w, h))
 
+    @pytest.mark.parametrize(
+        "x0,y0",
+        [(500, 68), (177, 0), (0, 117), (-0.5, 0), (0, -1),
+         (float("nan"), 0), (0, float("inf")), (-float("inf"), 0)],
+    )
+    def test_roi_origin_off_the_sensor_rejected(self, x0, y0):
+        # an origin past the sensor would be tracked with no events, then
+        # clamped back onto the sensor by update_roi
+        with pytest.raises(ValueError, match="ROI origin"):
+            TrackerConfig(roi_init=Roi(x0, y0, 64, 64))
+
+    @pytest.mark.parametrize("x0,y0", [(0, 0), (176, 116), (175.5, 115.25)])
+    def test_roi_origin_on_the_sensor_accepted(self, x0, y0):
+        assert TrackerConfig(roi_init=Roi(x0, y0, 64, 64)).roi_init.x0 == x0
+
     def test_roi_filling_the_sensor_accepted(self):
         cfg = TrackerConfig(roi_init=Roi(0, 0, 240, 180))
-        out = update_roi(cfg.roi_init, Velocity(5, -5), sensor=(240, 180))
+        out = update_roi(cfg.roi_init, Velocity(5, -5), 1.0, sensor=(240, 180))
         assert (out.x0, out.y0) == (0, 0)
 
 
