@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from .cyclemodel import (
     DEFAULT_CLOCK_HZ,
@@ -18,7 +16,7 @@ from .cyclemodel import (
     cycles_per_batch,
     speedup_report,
 )
-from .events import Roi, filter_roi, make_batch, parse_events
+from .events import EventArray, Roi, filter_roi, make_batch, parse_events
 from .optimizer import (
     OptimizationError,
     OptimizerConfig,
@@ -31,77 +29,26 @@ from .voting import write_pgm
 from .warp import Velocity
 
 
-@dataclass
-class RunConfig:
-    """Flat run configuration; round-trips losslessly through key=value text."""
-
-    input_path: str = ""
-    sensor_width: int = 240
-    sensor_height: int = 180
-    roi_x0: float = 0.0
-    roi_y0: float = 0.0
-    roi_w: int = 64
-    roi_h: int = 64
-    batch_size: int = 5000
-    iterations: int = 100
-    learning_rate: float | None = None
-    vx_init: float = 0.0
-    vy_init: float = 0.0
-    roi_update_scale: float = 1.0
-    min_roi_events: int = 10
-    output_dir: str = "."
-    dump_iwe: bool = False
-
-    def to_text(self) -> str:
-        out = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out.append(f"{f.name} = {'' if v is None else v}")
-        return "\n".join(out) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "RunConfig":
-        cfg = cls()
-        cfg.apply_text(text)
-        return cfg
-
-    def apply_text(self, text: str) -> None:
-        types = {f.name: f for f in fields(self)}
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line {line_no}: expected key = value")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            val = val.strip()
-            if key not in types:
-                raise ValueError(f"config line {line_no}: unknown key {key!r}")
-            setattr(self, key, _coerce(key, val))
-
-    def roi(self) -> Roi:
-        return Roi(self.roi_x0, self.roi_y0, self.roi_w, self.roi_h)
-
-    def optimizer(self) -> OptimizerConfig:
-        return OptimizerConfig(
-            iterations=self.iterations,
-            learning_rate=self.learning_rate,
-            v_init=Velocity(self.vx_init, self.vy_init),
-        )
+def _yes_no(text: str) -> bool:
+    if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
+    return text.lower() in ("1", "true", "yes")
 
 
-def _coerce(key: str, val: str):
-    if val == "":
-        return None
-    if key in ("input_path", "output_dir"):
-        return val
-    if key == "dump_iwe":
-        return val.lower() in ("1", "true", "yes")
-    if key in ("learning_rate", "roi_update_scale", "roi_x0", "roi_y0",
-               "vx_init", "vy_init"):
-        return float(val)
-    return int(val)
+# Every track/estimate setting: config-file key -> type. Defaults live in the
+# dataclasses, and each key names the field it sets (roi_<f> is Roi.<f>,
+# <f>_init is Velocity.<f> of OptimizerConfig.v_init). The flag is the key
+# with "-" for "_", except --input (input_path), --sensor WxH and --roi WxH.
+RUN_SETTINGS = {
+    "input_path": str, "output_dir": str, "dump_iwe": _yes_no,    # run files
+    "sensor_width": int, "sensor_height": int, "batch_size": int,  # TrackerConfig
+    "roi_update_scale": float, "min_roi_events": int,
+    "roi_x0": float, "roi_y0": float, "roi_w": int, "roi_h": int,  # Roi
+    "iterations": int, "learning_rate": float,                     # OptimizerConfig
+    "vx_init": float, "vy_init": float,                            # its v_init
+}
+# --sensor WxH and --roi WxH each set a pair of keys
+_SIZE_FLAGS = {"sensor": ("sensor_width", "sensor_height"), "roi": ("roi_w", "roi_h")}
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -109,61 +56,73 @@ def _parse_size(text: str) -> tuple[int, int]:
     return int(w), int(h)
 
 
-def _build_run_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg.apply_text(Path(args.config).read_text(encoding="ascii"))
-    # explicit flags win over the config file
-    for name in (
-        "input_path",
-        "batch_size",
-        "iterations",
-        "learning_rate",
-        "vx_init",
-        "vy_init",
-        "roi_update_scale",
-        "min_roi_events",
-        "output_dir",
-    ):
-        v = getattr(args, name, None)
-        if v is not None:
-            setattr(cfg, name, v)
-    if getattr(args, "sensor", None) is not None:
-        cfg.sensor_width, cfg.sensor_height = _parse_size(args.sensor)
-    if getattr(args, "roi", None) is not None:
-        cfg.roi_w, cfg.roi_h = _parse_size(args.roi)
-    if getattr(args, "roi_x0", None) is not None:
-        cfg.roi_x0 = args.roi_x0
-    if getattr(args, "roi_y0", None) is not None:
-        cfg.roi_y0 = args.roi_y0
-    if getattr(args, "dump_iwe", False):
-        cfg.dump_iwe = True
-    return cfg
+def _read_config(path: str) -> dict:
+    settings = {}
+    text = Path(path).read_text(encoding="ascii")
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, val = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ValueError(f"config line {line_no}: expected key = value")
+        if key not in RUN_SETTINGS:
+            raise ValueError(f"config line {line_no}: unknown key {key!r}")
+        if not val:  # an empty value keeps the setting's default
+            settings.pop(key, None)
+            continue
+        try:
+            settings[key] = RUN_SETTINGS[key](val)
+        except ValueError as exc:
+            raise ValueError(f"config line {line_no}: {key}: {exc}") from None
+    return settings
 
 
-def _load_events(cfg: RunConfig):
-    path = Path(cfg.input_path)
+def _run_config(args: argparse.Namespace) -> tuple[TrackerConfig, str | None, Path]:
+    """Overlay the flags given on the config file, over the dataclass defaults:
+    the validated tracker config, the input path and the output directory."""
+    s = _read_config(args.config) if args.config else {}
+    s.update((k, v) for k in RUN_SETTINGS if (v := getattr(args, k, None)) is not None)
+    for flag, keys in _SIZE_FLAGS.items():
+        if getattr(args, flag) is not None:
+            s.update(zip(keys, _parse_size(getattr(args, flag))))
+
+    def pick(cls, key: str = "{}") -> dict:
+        return {f.name: s[key.format(f.name)] for f in fields(cls) if key.format(f.name) in s}
+
+    out_dir = Path(s.get("output_dir", "."))
+    base = TrackerConfig()
+    optimizer = replace(
+        base.optimizer,
+        v_init=replace(base.optimizer.v_init, **pick(Velocity, "{}_init")),
+        **pick(OptimizerConfig),
+    )
+    cfg = replace(
+        base,
+        roi_init=replace(base.roi_init, **pick(Roi, "roi_{}")),
+        optimizer=optimizer,
+        dump_iwe_dir=out_dir if s.get("dump_iwe") else None,
+        **pick(TrackerConfig),
+    )
+    return cfg, s.get("input_path"), out_dir
+
+
+def _start_run(args: argparse.Namespace) -> tuple[TrackerConfig, EventArray, Path]:
+    """The run's config, its parsed input events and its output directory."""
+    cfg, input_path, out_dir = _run_config(args)
+    if not input_path:
+        raise ValueError("no input file: pass --input or set input_path in --config")
+    path = Path(input_path)
     if not path.exists():
         raise FileNotFoundError(f"input file not found: {path}")
-    return parse_events(path, sensor_size=(cfg.sensor_width, cfg.sensor_height))
+    events = parse_events(path, sensor_size=(cfg.sensor_width, cfg.sensor_height))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg, events, out_dir
 
 
 def cmd_track(args: argparse.Namespace) -> int:
-    cfg = _build_run_config(args)
-    events = _load_events(cfg)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tracker_cfg = TrackerConfig(
-        batch_size=cfg.batch_size,
-        roi_init=cfg.roi(),
-        optimizer=cfg.optimizer(),
-        roi_update_scale=cfg.roi_update_scale,
-        min_roi_events=cfg.min_roi_events,
-        sensor_width=cfg.sensor_width,
-        sensor_height=cfg.sensor_height,
-        dump_iwe_dir=out_dir if cfg.dump_iwe else None,
-    )
-    result = track(events, tracker_cfg)
+    cfg, events, out_dir = _start_run(args)
+    result = track(events, cfg)
     (out_dir / "trajectory.csv").write_text(result.to_csv(), encoding="ascii")
     contrasts = [r.contrast for r in result.records if r.contrast == r.contrast]
     mean_contrast = sum(contrasts) / len(contrasts) if contrasts else float("nan")
@@ -180,23 +139,21 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    cfg = _build_run_config(args)
-    events = _load_events(cfg)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, events, out_dir = _start_run(args)
     if args.batch_index < 0:
         raise ValueError(f"batch index {args.batch_index} must be non-negative")
     start = args.batch_index * cfg.batch_size
     chunk = events[start : start + cfg.batch_size]
     if len(chunk) == 0:
         raise ValueError(f"batch index {args.batch_index} is out of range")
-    batch = filter_roi(make_batch(chunk), cfg.roi())
+    roi = cfg.roi_init
+    batch = filter_roi(make_batch(chunk), roi)
     if len(batch) == 0:
         raise ValueError("no events inside the ROI")
-    v, trace = estimate_motion(batch, cfg.optimizer(), shape=(cfg.roi_w, cfg.roi_h))
+    v, trace = estimate_motion(batch, cfg.optimizer, shape=(roi.w, roi.h))
     (out_dir / "trace.csv").write_text(trace.to_csv(), encoding="ascii")
-    if cfg.dump_iwe:
-        imgs = final_image_set(batch, v, (cfg.roi_w, cfg.roi_h))
+    if cfg.dump_iwe_dir is not None:
+        imgs = final_image_set(batch, v, (roi.w, roi.h))
         write_pgm(imgs.iwe, out_dir / "iwe_final.pgm")
     print(
         f"iterations: {len(trace)}  v = ({v.vx:.4f}, {v.vy:.4f})  "
@@ -245,23 +202,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", dest="input_path", help="event text file (t x y p)")
-    p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--sensor", help="sensor geometry WxH (default 240x180)")
-    p.add_argument("--roi", help="ROI size WxH (default 64x64)")
-    p.add_argument("--roi-x0", type=float, dest="roi_x0")
-    p.add_argument("--roi-y0", type=float, dest="roi_y0")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--vx-init", type=float, dest="vx_init",
-                   help="initial velocity guess, x component")
-    p.add_argument("--vy-init", type=float, dest="vy_init",
-                   help="initial velocity guess, y component")
-    p.add_argument("--roi-update-scale", type=float, dest="roi_update_scale")
-    p.add_argument("--min-roi-events", type=int, dest="min_roi_events")
-    p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--dump-iwe", action="store_true", dest="dump_iwe")
+    p.add_argument("--config", help="key = value config file; flags override it")
+    p.add_argument("--sensor", help="sensor geometry WxH")
+    p.add_argument("--roi", help="ROI size WxH")
+    sized = [key for keys in _SIZE_FLAGS.values() for key in keys]
+    for key, kind in RUN_SETTINGS.items():
+        flag = "--input" if key == "input_path" else "--" + key.replace("_", "-")
+        if kind is _yes_no:
+            p.add_argument(flag, dest=key, action="store_const", const=True)
+        elif key not in sized:
+            p.add_argument(flag, dest=key, type=kind)
 
 
 def build_parser() -> argparse.ArgumentParser:

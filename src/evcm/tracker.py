@@ -4,6 +4,7 @@ advance the ROI by the estimated velocity."""
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -31,6 +32,12 @@ class TrackerConfig:
             raise ValueError("batch_size must be >= 1")
         if self.min_roi_events < 0:
             raise ValueError("min_roi_events must be non-negative")
+        # chained comparisons are False for NaN, so NaN fails the check
+        if not 0 <= self.roi_update_scale < math.inf:
+            raise ValueError(
+                "roi_update_scale must be non-negative and finite, "
+                f"got {self.roi_update_scale}"
+            )
         roi = self.roi_init
         if roi.w > self.sensor_width or roi.h > self.sensor_height:
             raise ValueError(

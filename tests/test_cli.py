@@ -2,7 +2,8 @@
 
 import pytest
 
-from evcm.cli import RunConfig, main
+from evcm import cli
+from evcm.cli import main
 
 
 @pytest.fixture
@@ -25,39 +26,107 @@ def fixture_events(tmp_path):
     return tmp_path / "events.txt"
 
 
+def effective(argv):
+    """(TrackerConfig, input path, output dir) that ``track argv`` runs with."""
+    return cli._run_config(cli.build_parser().parse_args(["track", *argv]))
+
+
+def write_config(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="ascii")
+    return str(path)
+
+
+# key: (non-default value, the flag argv giving the same value, another value)
+SETTING_CASES = {
+    "input_path": ("in.txt", ["--input", "in.txt"], "other.txt"),
+    "output_dir": ("out", ["--output-dir", "out"], "other"),
+    "dump_iwe": ("yes", ["--dump-iwe"], "no"),
+    "sensor_width": ("320", ["--sensor", "320x180"], "300"),
+    "sensor_height": ("240", ["--sensor", "240x240"], "200"),
+    "batch_size": ("123", ["--batch-size", "123"], "77"),
+    "roi_update_scale": ("2.0", ["--roi-update-scale", "2.0"], "0.5"),
+    "min_roi_events": ("3", ["--min-roi-events", "3"], "30"),
+    "roi_x0": ("10.5", ["--roi-x0", "10.5"], "20"),
+    "roi_y0": ("7.25", ["--roi-y0", "7.25"], "9"),
+    "roi_w": ("32", ["--roi", "32x64"], "48"),
+    "roi_h": ("16", ["--roi", "64x16"], "48"),
+    "iterations": ("7", ["--iterations", "7"], "9"),
+    "learning_rate": ("0.5", ["--learning-rate", "0.5"], "0.25"),
+    "vx_init": ("1.5", ["--vx-init", "1.5"], "-1"),
+    "vy_init": ("-2.5", ["--vy-init", "-2.5"], "1"),
+}
+
+
 class TestRunConfig:
-    def test_text_round_trip(self):
-        cfg = RunConfig(
-            input_path="x.txt",
-            roi_x0=3.5,
-            learning_rate=0.25,
-            output_dir="runs/a",
-            dump_iwe=True,
-        )
-        again = RunConfig.from_text(cfg.to_text())
-        assert again == cfg
+    """The ``--config`` file of ``track`` and ``estimate``."""
 
-    def test_none_learning_rate_round_trips(self):
-        cfg = RunConfig()
-        assert cfg.learning_rate is None
-        assert RunConfig.from_text(cfg.to_text()).learning_rate is None
+    def test_every_key_has_a_case(self):
+        assert set(SETTING_CASES) == set(cli.RUN_SETTINGS)
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            RunConfig.from_text("no_such_key = 1")
+    @pytest.mark.parametrize("key", list(SETTING_CASES))
+    def test_config_key_matches_its_flag(self, key, tmp_path):
+        value, flag_argv, other = SETTING_CASES[key]
+        default = effective([])
+        from_flag = effective(flag_argv)
+        assert from_flag != default
+        assert effective(["--config", write_config(tmp_path, f"{key} = {value}\n")]) == from_flag
+        # the flag wins over the file
+        cfg = write_config(tmp_path, f"{key} = {other}\n")
+        assert effective(["--config", cfg]) != from_flag
+        assert effective(["--config", cfg, *flag_argv]) == from_flag
+        # an empty value keeps the default, also after an earlier value
+        cfg = write_config(tmp_path, f"{key} = {value}\n{key} =\n")
+        assert effective(["--config", cfg]) == default
+
+    @pytest.mark.parametrize(
+        "text,on",
+        [("1", True), ("true", True), ("YES", True), ("Yes", True),
+         ("0", False), ("false", False), ("NO", False)],
+    )
+    def test_dump_iwe_spellings(self, text, on, tmp_path):
+        cfg, _, out_dir = effective(["--config", write_config(tmp_path, f"dump_iwe = {text}")])
+        assert cfg.dump_iwe_dir == (out_dir if on else None)
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [("iterations = abc", "iterations: invalid literal for int()"),
+         ("batch_size = 5.0", "batch_size: invalid literal for int()"),
+         ("roi_x0 = 1,5", "roi_x0: could not convert string to float"),
+         ("dump_iwe = maybe", "dump_iwe: expected 1/true/yes or 0/false/no")],
+    )
+    def test_bad_value_names_line_and_key(self, line, message, tmp_path, capsys):
+        cfg = write_config(tmp_path, f"# settings\n{line}\n")
+        rc = main(["track", "--config", cfg, "--output-dir", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: config line 2: {message}")
+        assert not (tmp_path / "run").exists()
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        rc = main(["track", "--config", write_config(tmp_path, "no_such_key = 1\n")])
+        assert rc == 1
+        assert "unknown key 'no_such_key'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["seed = 3", "accumulator_mode = banked"])
-    def test_removed_keys_rejected(self, line):
-        with pytest.raises(ValueError, match="unknown key"):
-            RunConfig.from_text(line)
+    def test_removed_keys_rejected(self, line, tmp_path, capsys):
+        rc = main(["estimate", "--config", write_config(tmp_path, line)])
+        assert rc == 1
+        assert "unknown key" in capsys.readouterr().err
 
-    def test_malformed_line_rejected(self):
-        with pytest.raises(ValueError):
-            RunConfig.from_text("just words")
+    def test_malformed_line_rejected(self, tmp_path, capsys):
+        rc = main(["track", "--config", write_config(tmp_path, "just words\n")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: config line 1: expected key = value")
 
-    def test_comments_ignored(self):
-        cfg = RunConfig.from_text("# comment\nbatch_size = 123\n")
-        assert cfg.batch_size == 123
+    def test_comments_ignored(self, fixture_events, tmp_path):
+        out = tmp_path / "run"
+        cfg = write_config(
+            tmp_path,
+            f"# comment\ninput_path = {fixture_events}\n  # indented comment\n\n"
+            f"batch_size = 2000\nroi_x0 = 18\nroi_y0 = 68\noutput_dir = {out}\n",
+        )
+        assert main(["track", "--config", cfg]) == 0
+        assert len((out / "trajectory.csv").read_text(encoding="ascii").splitlines()) == 4
 
 
 class TestSynthCommand:
@@ -103,6 +172,24 @@ class TestTrackCommand:
         rc = main(["track", "--input", str(tmp_path / "nope.txt")])
         assert rc == 1
         assert "nope.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["track", "estimate"])
+    def test_no_input_fails_with_message(self, command, tmp_path, capsys):
+        rc = main([command, "--output-dir", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: no input file")
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
+    def test_bad_roi_update_scale_fails(self, fixture_events, tmp_path, scale, capsys):
+        out = tmp_path / "run"
+        rc = main(
+            ["track", "--input", str(fixture_events), "--batch-size", "2000",
+             "--roi-x0", "18", "--roi-y0", "68", "--roi-update-scale", scale,
+             "--output-dir", str(out)]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: roi_update_scale must be")
+        assert not (out / "trajectory.csv").exists()
 
     def test_field_beyond_int64_fails_with_line_number(self, tmp_path, capsys):
         events = tmp_path / "events.txt"
@@ -217,6 +304,21 @@ class TestEstimateCommand:
         assert captured.err.startswith("error: ")
         assert "diverged" in captured.err
         assert "v = (" not in captured.out
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [(["--batch-size", "-5"], "batch_size must be >= 1"),
+         (["--roi", "300x64"], "ROI 300x64 does not fit the 240x180 sensor"),
+         (["--roi-x0", "nan"], "ROI origin (nan, 0.0) must lie in")],
+    )
+    def test_tracker_config_checks(self, fixture_events, tmp_path, argv, message, capsys):
+        out = tmp_path / "est"
+        rc = main(
+            ["estimate", "--input", str(fixture_events), "--output-dir", str(out), *argv]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (out / "trace.csv").exists()
 
     def test_out_of_range_batch_index(self, fixture_events, capsys):
         rc = main(

@@ -54,6 +54,12 @@ class TestTrackerConfig:
     def test_roi_origin_on_the_sensor_accepted(self, x0, y0):
         assert TrackerConfig(roi_init=Roi(x0, y0, 64, 64)).roi_init.x0 == x0
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf"), -0.5])
+    def test_bad_roi_update_scale_rejected(self, scale):
+        # NaN would fail only at batch 1; inf would pin every later ROI to an edge
+        with pytest.raises(ValueError, match="roi_update_scale must be non-negative"):
+            TrackerConfig(roi_update_scale=scale)
+
     def test_roi_filling_the_sensor_accepted(self):
         cfg = TrackerConfig(roi_init=Roi(0, 0, 240, 180))
         out = update_roi(cfg.roi_init, Velocity(5, -5), 1.0, sensor=(240, 180))
