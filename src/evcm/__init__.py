@@ -18,7 +18,7 @@ from .voting import (
     VotingConfigError,
     write_pgm,
 )
-from .objective import ContrastReport, Gradient, analytic_gradient, contrast, evaluate
+from .objective import contrast, evaluate
 from .optimizer import (
     OptimizationTrace,
     OptimizerConfig,

@@ -52,8 +52,12 @@ _SIZE_FLAGS = {"sensor": ("sensor_width", "sensor_height"), "roi": ("roi_w", "ro
 
 
 def _parse_size(text: str) -> tuple[int, int]:
+    """argparse type of the WxH size flags."""
     w, _, h = text.lower().partition("x")
-    return int(w), int(h)
+    try:
+        return int(w), int(h)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}") from None
 
 
 def _read_config(path: str) -> dict:
@@ -85,7 +89,7 @@ def _run_config(args: argparse.Namespace) -> tuple[TrackerConfig, str | None, Pa
     s.update((k, v) for k in RUN_SETTINGS if (v := getattr(args, k, None)) is not None)
     for flag, keys in _SIZE_FLAGS.items():
         if getattr(args, flag) is not None:
-            s.update(zip(keys, _parse_size(getattr(args, flag))))
+            s.update(zip(keys, getattr(args, flag)))
 
     def pick(cls, key: str = "{}") -> dict:
         return {f.name: s[key.format(f.name)] for f in fields(cls) if key.format(f.name) in s}
@@ -148,8 +152,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise ValueError(f"batch index {args.batch_index} is out of range")
     roi = cfg.roi_init
     batch = filter_roi(make_batch(chunk), roi)
-    if len(batch) == 0:
-        raise ValueError("no events inside the ROI")
+    threshold = max(cfg.min_roi_events, 1)
+    if len(batch) < threshold:
+        raise ValueError(
+            f"only {len(batch)} events inside the ROI; estimate needs at least "
+            f"{threshold} (min_roi_events)"
+        )
     v, trace = estimate_motion(batch, cfg.optimizer, shape=(roi.w, roi.h))
     (out_dir / "trace.csv").write_text(trace.to_csv(), encoding="ascii")
     if cfg.dump_iwe_dir is not None:
@@ -163,7 +171,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_cycles(args: argparse.Namespace) -> int:
-    roi_w, roi_h = _parse_size(args.roi)
+    roi_w, roi_h = args.roi
     params = CycleParams(
         N=args.n_events,
         T=args.iters,
@@ -190,7 +198,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         batch_duration_us=args.batch_duration_us,
         noise_fraction=args.noise,
         seed=args.seed,
-        sensor=_parse_size(args.sensor),
+        sensor=args.sensor,
     )
     scene = generate_scene(cfg)
     out_dir = Path(args.output_dir)
@@ -203,8 +211,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--sensor", help="sensor geometry WxH")
-    p.add_argument("--roi", help="ROI size WxH")
+    p.add_argument("--sensor", type=_parse_size, help="sensor geometry WxH")
+    p.add_argument("--roi", type=_parse_size, help="ROI size WxH")
     sized = [key for keys in _SIZE_FLAGS.values() for key in keys]
     for key, kind in RUN_SETTINGS.items():
         flag = "--input" if key == "input_path" else "--" + key.replace("_", "-")
@@ -234,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cyc.add_argument("--n-events", type=int, default=5000)
     p_cyc.add_argument("--iters", type=int, default=100)
     p_cyc.add_argument("--roi-events", type=int, default=800)
-    p_cyc.add_argument("--roi", default="64x64")
+    p_cyc.add_argument("--roi", type=_parse_size, default="64x64")
     p_cyc.add_argument("--clock", type=float, default=DEFAULT_CLOCK_HZ)
     p_cyc.add_argument("--readout-latency", type=int, default=DEFAULT_READOUT_LATENCY)
     p_cyc.add_argument("--voting-latency", type=int, default=DEFAULT_VOTING_LATENCY)
@@ -253,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--batch-duration-us", type=int, default=20000)
     p_syn.add_argument("--noise", type=float, default=0.0)
     p_syn.add_argument("--seed", type=int, default=0)
-    p_syn.add_argument("--sensor", default="240x180")
+    p_syn.add_argument("--sensor", type=_parse_size, default="240x180")
     p_syn.add_argument("--output-dir", default=".")
     p_syn.set_defaults(func=cmd_synth)
 

@@ -9,6 +9,7 @@ optimization iteration replays the ROI events through warping and voting
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 DEFAULT_READOUT_LATENCY = 32
@@ -38,8 +39,9 @@ class CycleParams:
                 raise ValueError(f"{name} must be non-negative")
         if self.P % 4 != 0:
             raise ValueError(f"P must be divisible by 4, got {self.P}")
-        if self.f_clk <= 0:
-            raise ValueError("f_clk must be positive")
+        # chained comparisons are False for NaN, so NaN fails the check
+        if not 0 < self.f_clk < math.inf:
+            raise ValueError(f"f_clk must be positive and finite, got {self.f_clk}")
 
 
 def cycles_per_batch(p: CycleParams) -> int:

@@ -2,31 +2,9 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .voting import ImageSet
-
-
-@dataclass(frozen=True)
-class Gradient:
-    d_vx: float
-    d_vy: float
-
-    @property
-    def norm(self) -> float:
-        return math.hypot(self.d_vx, self.d_vy)
-
-    def is_finite(self) -> bool:
-        return math.isfinite(self.d_vx) and math.isfinite(self.d_vy)
-
-
-@dataclass(frozen=True)
-class ContrastReport:
-    contrast: float  # population variance of the IWE, >= 0
-    grad: Gradient
 
 
 def contrast(iwe: np.ndarray) -> tuple[float, float]:
@@ -37,29 +15,23 @@ def contrast(iwe: np.ndarray) -> tuple[float, float]:
     """
     if iwe.size == 0:
         raise ValueError("contrast of an empty grid is undefined")
-    n_p = iwe.size
-    mu = float(iwe.sum()) / n_p
-    var = float(((iwe - mu) ** 2).sum()) / n_p
-    return var, mu
+    mu = float(iwe.sum()) / iwe.size
+    return float(((iwe - mu) ** 2).sum()) / iwe.size, mu
 
 
-def analytic_gradient(imgs: ImageSet) -> Gradient:
-    """Gradient of the variance with respect to (vx, vy).
+def _centred(grid: np.ndarray) -> np.ndarray:
+    return grid - float(grid.sum()) / grid.size
 
-    Uses the three accumulated images: per axis, center both the IWE and its
-    derivative image, multiply elementwise, sum, and scale by 2/N_p.
+
+def evaluate(imgs: ImageSet) -> tuple[float, float, float]:
+    """Contrast and its (vx, vy) gradient from one centred IWE.
+
+    The contrast is ``contrast(imgs.iwe)[0]``; per axis the gradient is
+    2/P · Σ (I − μ)·(D − μ_D) over the P pixels, D being that axis's
+    derivative image.
     """
-    iwe = imgs.iwe
-    n_p = iwe.size
-    mu = float(iwe.sum()) / n_p
-    centered = iwe - mu
-    g = []
-    for d_img in (imgs.d_vx, imgs.d_vy):
-        d_mu = float(d_img.sum()) / n_p
-        g.append(2.0 / n_p * float((centered * (d_img - d_mu)).sum()))
-    return Gradient(g[0], g[1])
-
-
-def evaluate(imgs: ImageSet) -> ContrastReport:
-    """Contrast and gradient of one accumulated image set."""
-    return ContrastReport(contrast=contrast(imgs.iwe)[0], grad=analytic_gradient(imgs))
+    n_p = imgs.iwe.size
+    centred = _centred(imgs.iwe)
+    g_vx, g_vy = (2.0 / n_p * float((centred * _centred(d)).sum())
+                  for d in (imgs.d_vx, imgs.d_vy))
+    return float((centred ** 2).sum()) / n_p, g_vx, g_vy

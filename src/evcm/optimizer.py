@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 from .events import EventBatch
-from .objective import Gradient, evaluate
+from .objective import evaluate
 from .voting import ImageSet, NaiveAccumulator
 from .warp import Velocity, warp_batch
 
@@ -37,21 +37,24 @@ class IterationRecord:
     iteration: int
     v: Velocity          # velocity the images were generated at
     contrast: float
-    grad: Gradient
+    grad_vx: float
+    grad_vy: float
 
 
 @dataclass
 class OptimizationTrace:
     records: list[IterationRecord]
-    final_v: Velocity
-    final_contrast: float
     learning_rate: float
     # pipeline work counters (tie-in for the cycle model):
     vote_ops: int = 0             # events issued to voting, summed over iterations
-    readout_addresses: int = 0    # grid addresses read per gradient evaluation
+    readout_addresses: int = 0    # grid addresses read back, summed over iterations
 
     def __len__(self) -> int:
         return len(self.records)
+
+    @property
+    def final_contrast(self) -> float:
+        return self.records[-1].contrast
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -59,7 +62,7 @@ class OptimizationTrace:
         for r in self.records:
             buf.write(
                 f"{r.iteration},{r.v.vx!r},{r.v.vy!r},{r.contrast!r},"
-                f"{r.grad.d_vx!r},{r.grad.d_vy!r}\n"
+                f"{r.grad_vx!r},{r.grad_vy!r}\n"
             )
         return buf.getvalue()
 
@@ -98,12 +101,9 @@ def estimate_motion(
         raise ValueError("cannot estimate motion from an empty batch")
     eta = cfg.learning_rate if cfg.learning_rate is not None else default_learning_rate(n)
     acc = NaiveAccumulator(shape)
-    n_pixels = shape[0] * shape[1]
 
     v = cfg.v_init
     records: list[IterationRecord] = []
-    vote_ops = 0
-    readouts = 0
     for it in range(cfg.iterations):
         warped = warp_batch(batch, v)
         acc.accumulate(warped)
@@ -114,20 +114,17 @@ def estimate_motion(
                 f"v = ({v.vx:.6g}, {v.vy:.6g}): the ascent diverged or "
                 f"started off the grid"
             )
-        vote_ops += n
-        readouts += n_pixels
-        report = evaluate(imgs)
-        if not report.grad.is_finite():
+        c, g_vx, g_vy = evaluate(imgs)
+        if not (math.isfinite(g_vx) and math.isfinite(g_vy)):
             raise OptimizationError(f"non-finite gradient at iteration {it}")
-        records.append(IterationRecord(it, v, report.contrast, report.grad))
-        v = Velocity(v.vx + eta * report.grad.d_vx, v.vy + eta * report.grad.d_vy)
+        records.append(IterationRecord(it, v, c, g_vx, g_vy))
+        v = Velocity(v.vx + eta * g_vx, v.vy + eta * g_vy)
+    # every iteration votes all n events and reads back every grid address
     trace = OptimizationTrace(
         records=records,
-        final_v=v,
-        final_contrast=records[-1].contrast,
         learning_rate=eta,
-        vote_ops=vote_ops,
-        readout_addresses=readouts,
+        vote_ops=n * cfg.iterations,
+        readout_addresses=shape[0] * shape[1] * cfg.iterations,
     )
     return v, trace
 

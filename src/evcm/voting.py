@@ -162,7 +162,7 @@ class NaiveAccumulator:
     def read_and_clear(self) -> ImageSet:
         w_dim, h_dim = self.shape
         padded = self._grids.reshape(3, h_dim + 2 * PAD, w_dim + 2 * PAD)
-        iwe, dvx, dvy = (g[PAD:-PAD, PAD:-PAD].copy() for g in padded)
+        iwe, dvx, dvy = padded[:, PAD:-PAD, PAD:-PAD].copy()
         self._grids.fill(0.0)
         return ImageSet(iwe=iwe, d_vx=dvx, d_vy=dvy, in_bounds_mass=float(iwe.sum()))
 

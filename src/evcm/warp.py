@@ -38,6 +38,6 @@ def warp_batch(batch: EventBatch, v: Velocity) -> WarpedBatch:
     """Warp every event in the batch: x' = x - dt*vx, y' = y - dt*vy; order
     preserved, coordinates unclamped."""
     dts = batch.norm_dts
-    xs = batch.xs.astype(np.float64) - dts * v.vx
-    ys = batch.ys.astype(np.float64) - dts * v.vy
+    xs = batch.xs - dts * v.vx  # int64 columns promote to float64 as astype would
+    ys = batch.ys - dts * v.vy
     return WarpedBatch(xs, ys, dts)

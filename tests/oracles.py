@@ -128,3 +128,20 @@ def bilinear_votes(we: WarpedEvent, shape: tuple[int, int]) -> list[VoteContribu
         if 0 <= ci < w_dim and 0 <= cj < h_dim:
             out.append(VoteContribution((ci, cj), w, ndt * dw_ddx, ndt * dw_ddy))
     return out
+
+
+def contrast_gradient_scalar(imgs) -> tuple[float, float, float]:
+    """Two-pass contrast and (vx, vy) gradient of an ``ImageSet`` in Python
+    floats: the variance of the IWE I, and per axis 2/P · Σ (I − μ)(D − μ_D)
+    over the P pixels, D being that axis's derivative image. Every sum is an
+    exactly rounded ``math.fsum``."""
+    iwe = [float(v) for v in imgs.iwe.ravel()]
+    n_p = len(iwe)
+    mu = math.fsum(iwe) / n_p
+    centred = [v - mu for v in iwe]
+    out = [math.fsum(c * c for c in centred) / n_p]
+    for d_img in (imgs.d_vx, imgs.d_vy):
+        d = [float(v) for v in d_img.ravel()]
+        d_mu = math.fsum(d) / n_p
+        out.append(2.0 / n_p * math.fsum(c * (v - d_mu) for c, v in zip(centred, d)))
+    return out[0], out[1], out[2]

@@ -320,6 +320,26 @@ class TestEstimateCommand:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (out / "trace.csv").exists()
 
+    def test_too_few_roi_events_fails(self, tmp_path, capsys):
+        # the README walkthrough's scene holds about 9.5k events in this ROI
+        assert main(
+            ["synth", "--scene", "square", "--vx", "3", "--vy", "-2",
+             "--start-x", "50", "--start-y", "100", "--size", "24",
+             "--batches", "10", "--events-per-batch", "10000", "--noise", "0.05",
+             "--seed", "7", "--output-dir", str(tmp_path)]
+        ) == 0
+        out = tmp_path / "est"
+        rc = main(
+            ["estimate", "--input", str(tmp_path / "events.txt"), "--batch-size", "10000",
+             "--roi-x0", "18", "--roi-y0", "68", "--min-roi-events", "999999",
+             "--iterations", "2", "--output-dir", str(out)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: only ")
+        assert "events inside the ROI; estimate needs at least 999999" in err
+        assert not (out / "trace.csv").exists()
+
     def test_out_of_range_batch_index(self, fixture_events, capsys):
         rc = main(
             ["estimate", "--input", str(fixture_events), "--batch-size", "2000",
@@ -361,6 +381,24 @@ class TestCyclesCommand:
         assert main(["cycles", "--roi", "63x63"]) == 1
         assert "divisible by 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("clock", ["inf", "nan"])
+    def test_non_finite_clock_rejected(self, clock, capsys):
+        assert main(["cycles", "--clock", clock]) == 1
+        assert capsys.readouterr().err.startswith("error: f_clk must be positive and finite")
+
     def test_csv_format(self, capsys):
         assert main(["cycles", "--format", "csv"]) == 0
         assert capsys.readouterr().out.startswith("label,time_ms,speedup")
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("track", "--roi"), ("track", "--sensor"), ("estimate", "--roi"),
+     ("estimate", "--sensor"), ("synth", "--sensor"), ("cycles", "--roi")],
+)
+@pytest.mark.parametrize("size", ["64", "64x", "x64", "64x64x2", "axb"])
+def test_malformed_size_names_flag_and_form(command, flag, size, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, size])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected WxH, got {size!r}" in capsys.readouterr().err

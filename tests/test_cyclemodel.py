@@ -47,6 +47,11 @@ class TestCyclesPerBatch:
         with pytest.raises(ValueError):
             CycleParams(N=1, T=1, n=1, P=64, f_clk=0.0)
 
+    @pytest.mark.parametrize("clock", [float("inf"), float("nan"), -float("inf")])
+    def test_non_finite_clock_rejected(self, clock):
+        with pytest.raises(ValueError, match="f_clk must be positive and finite"):
+            CycleParams(N=1, T=1, n=1, P=64, f_clk=clock)
+
 
 class TestBatchTime:
     def test_reference_time_at_210mhz(self):
