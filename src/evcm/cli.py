@@ -55,9 +55,12 @@ def _parse_size(text: str) -> tuple[int, int]:
     """argparse type of the WxH size flags."""
     w, _, h = text.lower().partition("x")
     try:
-        return int(w), int(h)
+        w, h = int(w), int(h)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}") from None
+        w = h = 0  # malformed: rejected below with the bad sides
+    if w < 1 or h < 1:
+        raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}")
+    return w, h
 
 
 def _read_config(path: str) -> dict:

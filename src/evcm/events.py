@@ -92,22 +92,10 @@ class EventBatch:
         return int(self.xs.shape[0])
 
 
-def _ascii_table(to_space: bytes = b"", to_newline: bytes = b"") -> bytes:
-    """``bytes.translate`` table: NUL and non-ASCII bytes become ``?``, which
-    no number contains, so they fail the parse as they did when decoded."""
-    table = bytearray(b"?" + bytes(range(1, 128)) + b"?" * 128)
-    for c in to_space:
-        table[c] = ord(" ")
-    for c in to_newline:
-        table[c] = ord("\n")
-    return bytes(table)
-
-
-# A file or an iterable item splits lines on "\n" only; bytes split as
-# ``str.splitlines`` does. Any other line break is field whitespace.
-_FILE_TABLE = _ascii_table(to_space=b"\r")
-_ITEM_TABLE = _ascii_table(to_space=b"\r\n")
-_BYTES_TABLE = _ascii_table(to_newline=b"\r\x0b\x0c\x1c\x1d\x1e")
+# Only "\n" ends a line: "\r" (as in CRLF files) becomes field whitespace, and
+# NUL and non-ASCII bytes become "?", which no number contains, so they fail
+# the parse as they did when decoded.
+_FILE_TABLE = b"?" + bytes(range(1, 13)) + b" " + bytes(range(14, 128)) + b"?" * 128
 _COMMENT_LINE = re.compile(rb"^[ \t\x0b\x0c\x1c-\x1f]*#.*", re.MULTILINE)
 # A timestamp is read as text when the buffer holds seconds timestamps, so
 # each token can be told apart; a token that fills the field may have been
@@ -117,25 +105,14 @@ _TEXT_T_ROW = np.dtype(
 )
 
 
-def _translate(data: bytes, table: bytes) -> bytes:
-    """``data.translate(table)``, skipping the copy (and its memory peak) when
-    nothing would change."""
-    if data.isascii() and not any(c in data for c in range(128) if table[c] != c):
+def _read_file(path) -> bytes:
+    """The whole file as one ASCII buffer whose only line break is ``\\n``;
+    a file that needs no translation is not copied (nor its memory peak
+    paid)."""
+    data = Path(path).read_bytes()
+    if data.isascii() and b"\0" not in data and b"\r" not in data:
         return data
-    return data.translate(table)
-
-
-def _read_source(source) -> bytes:
-    """The whole source as one ASCII buffer whose only line break is ``\\n``."""
-    if isinstance(source, (str, Path)):
-        return _translate(Path(source).read_bytes(), _FILE_TABLE)
-    if isinstance(source, bytes):
-        return _translate(source.replace(b"\r\n", b"\n"), _BYTES_TABLE)
-    return b"\n".join(
-        (ln if isinstance(ln, bytes) else ln.encode("ascii", "replace"))
-        .translate(_ITEM_TABLE)
-        for ln in source
-    )
+    return data.translate(_FILE_TABLE)
 
 
 def _loadtxt(buf: bytes, dtype, ndmin: int) -> np.ndarray:
@@ -183,21 +160,18 @@ def _columns(
     return ts, rows["x"].copy(), rows["y"].copy(), rows["p"].copy()
 
 
-def _valid_columns(buf: bytes, as_text: bool, sensor_size: tuple[int, int] | None):
+def _valid_columns(buf: bytes, as_text: bool, sensor_size: tuple[int, int]):
     """The columns of ``buf``, or None if any line is malformed or invalid."""
     try:
         ts, xs, ys, ps = _columns(buf, as_text)
     except (ValueError, OverflowError):
         return None
     bad = (ts < 0) | (xs < 0) | (ys < 0) | ((ps != 0) & (ps != 1))
-    if sensor_size is not None:
-        bad |= (xs >= sensor_size[0]) | (ys >= sensor_size[1])
+    bad |= (xs >= sensor_size[0]) | (ys >= sensor_size[1])
     return None if bad.any() else (ts, xs, ys, ps)
 
 
-def _first_error(
-    buf: bytes, as_text: bool, sensor_size: tuple[int, int] | None
-) -> ValueError:
+def _first_error(buf: bytes, as_text: bool, sensor_size: tuple[int, int]) -> ValueError:
     """Locate the first line that fails the whole-array checks and describe it.
 
     Bisects over line ranges with the same checks: the first bad line lies in
@@ -230,30 +204,30 @@ def _line_error(line: bytes, line_no: int, as_text: bool, sensor_size) -> ValueE
         return EventValidationError(line_no, f"negative field in {text!r}")
     if p not in (0, 1):
         return EventParseError(line_no, f"polarity must be 0 or 1, got {p}")
-    if sensor_size is not None and (x >= sensor_size[0] or y >= sensor_size[1]):
-        sw, sh = sensor_size
+    sw, sh = sensor_size
+    if x >= sw or y >= sh:
         return EventValidationError(
             line_no, f"coordinates ({x}, {y}) outside sensor {sw}x{sh}"
         )
     return EventParseError(line_no, f"field not a number or beyond int64 in {text!r}")
 
 
-def parse_events(
-    source, sensor_size: tuple[int, int] | None = None
-) -> EventArray:
-    """Parse a line-oriented ``t x y p`` event source into columns.
+def parse_events(path, sensor_size: tuple[int, int]) -> EventArray:
+    """Parse an events file of ``t x y p`` lines against a ``(W, H)`` sensor.
 
-    ``source`` is a path, the file's bytes, or an iterable of lines. The
-    whole source is read into one buffer and parsed by numpy's C text reader;
-    every check runs on whole columns. Timestamps containing a decimal point
-    are seconds (rounded half to even to integer microseconds); plain
-    integers are microseconds. Polarity 0 maps to -1, 1 to +1. Lines whose
-    first non-blank character is ``#`` and blank lines are skipped but still
-    counted. A malformed line raises ``EventParseError`` and a field outside
-    the sensor or below zero ``EventValidationError``, each carrying the
-    1-based number of the first bad line.
+    The whole file is read into one buffer and parsed by numpy's C text
+    reader; every check runs on whole columns. Only ``\\n`` ends a line, and
+    ``\\r`` (as in CRLF files) is field whitespace. Timestamps containing a
+    decimal point are seconds (rounded half to even to integer
+    microseconds); plain integers are microseconds. Polarity 0 maps to -1,
+    1 to +1. Lines whose first non-blank character is ``#`` and blank lines
+    are skipped but still counted. A malformed line raises
+    ``EventParseError`` and a field outside the sensor or below zero
+    ``EventValidationError``, each carrying the 1-based number of the first
+    bad line. Events built in memory need no parse: make an ``EventArray``
+    from their columns, as ``evcm.synth`` does.
     """
-    buf = _read_source(source)
+    buf = _read_file(path)
     if b"#" in buf:
         buf = _COMMENT_LINE.sub(b"", buf)  # keeps the "\n", so lines still count
     as_text = b"." in buf

@@ -43,6 +43,8 @@ class SceneConfig:
             raise ValueError("noise_fraction must be in [0, 1]")
         if self.batches < 1 or self.events_per_batch < 1:
             raise ValueError("batches and events_per_batch must be >= 1")
+        if min(self.sensor) < 1:
+            raise ValueError(f"sensor sides must be >= 1, got {self.sensor}")
 
 
 @dataclass(frozen=True, eq=False)

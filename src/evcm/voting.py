@@ -38,10 +38,9 @@ import numpy as np
 
 from .warp import WarpedBatch
 
-# Accumulation pipeline: read, add, write-back. The forwarding buffer covers
-# exactly the in-flight window.
+# Accumulation pipeline: read, add, write-back. An update is in flight for
+# PIPELINE_DEPTH cycles; the forwarding buffer covers exactly that window.
 PIPELINE_DEPTH = 3
-FORWARD_DEPTH = 3
 
 # Events voted per pass: each (CHUNK_EVENTS, 4) float64 stream is 32 KB, well
 # under glibc's 128 KB mmap threshold, so its pages are reused, not refaulted.
@@ -196,7 +195,7 @@ class _Bank:
         acc = base + value                 # stage 2: add
         self.inflight.append((addr, acc))  # stage 3 pending: write-back
         self.writes += 1
-        if len(self.inflight) > FORWARD_DEPTH:
+        if len(self.inflight) > PIPELINE_DEPTH:
             a, v = self.inflight.popleft()
             self.mem[a] = v
 

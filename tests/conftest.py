@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from evcm.events import EventArray, EventBatch, make_batch
+from evcm.events import EventArray, EventBatch, make_batch, parse_events
 from evcm.voting import ImageSet, NaiveAccumulator
 from evcm.warp import WarpedBatch
 
@@ -20,6 +23,20 @@ def event_array(ts, xs, ys, ps=None) -> EventArray:
         np.asarray(ys, dtype=np.int64),
         np.asarray(ps, dtype=np.int8),
     )
+
+
+# A sensor on which every int64 coordinate lies, for cases that check
+# something other than the sensor bounds.
+WIDE_SENSOR = (2**63, 2**63)
+
+
+def parse_lines(lines, sensor_size=WIDE_SENSOR) -> EventArray:
+    """``parse_events`` on a temporary file holding ``lines``, each ended by
+    ``\\n``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.txt"
+        path.write_bytes("".join(ln + "\n" for ln in lines).encode("latin-1"))
+        return parse_events(path, sensor_size)
 
 
 def batch_from_arrays(ts, xs, ys, ps=None) -> EventBatch:

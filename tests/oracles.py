@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -14,25 +13,16 @@ from evcm.warp import Velocity
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
-def _iter_lines(source) -> Iterator[str]:
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            yield from (ln.decode("ascii", errors="replace") for ln in fh)
-        return
-    if isinstance(source, bytes):
-        yield from io.BytesIO(source).read().decode("ascii", errors="replace").splitlines()
-        return
-    for ln in source:
-        yield ln.decode("ascii", errors="replace") if isinstance(ln, bytes) else ln
-
-
-def parse_events_scalar(source, sensor_size=None):
+def parse_events_scalar(path, sensor_size):
     """Line-by-line ``t x y p`` parser: (ts, xs, ys, ps) lists, ps in -1/+1.
 
-    Values beyond int64 are parse errors, and polarity must be 0 or 1.
+    Only ``\\n`` ends a line, values beyond int64 are parse errors, and
+    polarity must be 0 or 1.
     """
     cols = ([], [], [], [])
-    for line_no, raw in enumerate(_iter_lines(source), start=1):
+    with open(path, "rb") as fh:  # binary lines end at b"\n" only
+        lines = [ln.decode("ascii", errors="replace") for ln in fh]
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -53,12 +43,11 @@ def parse_events_scalar(source, sensor_size=None):
             raise EventValidationError(line_no, f"negative field in {line!r}")
         if p not in (0, 1):
             raise EventParseError(line_no, f"polarity must be 0 or 1, got {p}")
-        if sensor_size is not None:
-            sw, sh = sensor_size
-            if x >= sw or y >= sh:
-                raise EventValidationError(
-                    line_no, f"coordinates ({x}, {y}) outside sensor {sw}x{sh}"
-                )
+        sw, sh = sensor_size
+        if x >= sw or y >= sh:
+            raise EventValidationError(
+                line_no, f"coordinates ({x}, {y}) outside sensor {sw}x{sh}"
+            )
         for col, v in zip(cols, (t, x, y, -1 if p == 0 else 1)):
             col.append(v)
     return cols

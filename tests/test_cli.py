@@ -396,9 +396,9 @@ class TestCyclesCommand:
     [("track", "--roi"), ("track", "--sensor"), ("estimate", "--roi"),
      ("estimate", "--sensor"), ("synth", "--sensor"), ("cycles", "--roi")],
 )
-@pytest.mark.parametrize("size", ["64", "64x", "x64", "64x64x2", "axb"])
+@pytest.mark.parametrize("size", ["64", "64x", "x64", "64x64x2", "axb", "0x0", "-4x-4"])
 def test_malformed_size_names_flag_and_form(command, flag, size, capsys):
     with pytest.raises(SystemExit) as exc:
-        main([command, flag, size])
+        main([command, f"{flag}={size}"])
     assert exc.value.code == 2
     assert f"argument {flag}: expected WxH, got {size!r}" in capsys.readouterr().err

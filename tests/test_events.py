@@ -12,7 +12,7 @@ from evcm.events import (
     parse_events,
 )
 
-from conftest import batch_from_arrays
+from conftest import batch_from_arrays, parse_lines
 
 
 def columns(events):
@@ -21,52 +21,52 @@ def columns(events):
 
 class TestParseEvents:
     def test_seconds_timestamp_converted_to_microseconds(self):
-        ev = parse_events(["0.005000 120 90 1"])
+        ev = parse_lines(["0.005000 120 90 1"])
         assert columns(ev) == ([5000], [120], [90], [1])
 
     def test_seconds_round_half_to_even(self):
-        ev = parse_events(["0.0000025 1 2 1", "3.5e-6 1 2 1", "0.0000005 1 2 1"])
+        ev = parse_lines(["0.0000025 1 2 1", "3.5e-6 1 2 1", "0.0000005 1 2 1"])
         assert ev.ts.tolist() == [2, 4, 0]
 
     def test_integer_timestamp_and_zero_polarity(self):
-        ev = parse_events(["5000 120 90 0"])
+        ev = parse_lines(["5000 120 90 0"])
         assert columns(ev) == ([5000], [120], [90], [-1])
 
     def test_malformed_line_reports_line_number(self):
         with pytest.raises(EventParseError) as exc:
-            parse_events(["abc 1 2 1"])
+            parse_lines(["abc 1 2 1"])
         assert exc.value.line_no == 1
 
     def test_comments_and_blank_lines_skipped(self):
-        evs = parse_events(["# header", "", "10 1 2 1", "   ", "20 3 4 0"])
+        evs = parse_lines(["# header", "", "10 1 2 1", "   ", "20 3 4 0"])
         assert evs.ts.tolist() == [10, 20]
         # line numbers still count skipped lines
         with pytest.raises(EventParseError) as exc:
-            parse_events(["# header", "", "10 1 2"])
+            parse_lines(["# header", "", "10 1 2"])
         assert exc.value.line_no == 3
 
     def test_wrong_field_count(self):
         with pytest.raises(EventParseError):
-            parse_events(["1 2 3"])
+            parse_lines(["1 2 3"])
 
     def test_sensor_bounds_enforced(self):
         with pytest.raises(EventValidationError):
-            parse_events(["10 240 0 1"], sensor_size=(240, 180))
+            parse_lines(["10 240 0 1"], sensor_size=(240, 180))
         with pytest.raises(EventValidationError):
-            parse_events(["10 0 180 1"], sensor_size=(240, 180))
-        assert parse_events(["10 239 179 1"], sensor_size=(240, 180))
+            parse_lines(["10 0 180 1"], sensor_size=(240, 180))
+        assert parse_lines(["10 239 179 1"], sensor_size=(240, 180))
 
     def test_negative_fields_rejected(self):
         with pytest.raises(EventValidationError):
-            parse_events(["10 -1 0 1"])
+            parse_lines(["10 -1 0 1"])
 
     def test_invalid_polarity_rejected(self):
         with pytest.raises(EventParseError):
-            parse_events(["10 1 2 3"])
+            parse_lines(["10 1 2 3"])
 
     def test_polarity_minus_one_rejected(self):
         with pytest.raises(EventParseError) as exc:
-            parse_events(["10 1 2 1", "10 1 2 -1"])
+            parse_lines(["10 1 2 1", "10 1 2 -1"])
         assert exc.value.line_no == 2
 
     @pytest.mark.parametrize(
@@ -81,32 +81,32 @@ class TestParseEvents:
     )
     def test_field_beyond_int64_rejected(self, line):
         with pytest.raises(EventParseError) as exc:
-            parse_events(["# t x y p", "10 1 2 1", "", line, "20 1 2 1"])
+            parse_lines(["# t x y p", "10 1 2 1", "", line, "20 1 2 1"])
         assert exc.value.line_no == 4
 
     def test_inline_comment_is_an_error(self):
         for line in ("1 2 3 1 # x", "1 2 3 1#", "1 2# 3 1"):
             with pytest.raises(EventParseError) as exc:
-                parse_events(["# ok", "  # ok", line])
+                parse_lines(["# ok", "  # ok", line])
             assert exc.value.line_no == 3
 
     def test_digit_separators_rejected(self):
         with pytest.raises(EventParseError):
-            parse_events(["1_000 1 2 1"])
+            parse_lines(["1_000 1 2 1"])
         with pytest.raises(EventParseError):
-            parse_events(["1_000 1 2 1", "0.5 1 2 1"])
+            parse_lines(["1_000 1 2 1", "0.5 1 2 1"])
 
     def test_overlong_timestamp_rejected_next_to_seconds(self):
         # seconds timestamps are read as fixed-width text; a token that
         # fills the field must not be truncated into a valid number
         with pytest.raises(EventParseError) as exc:
-            parse_events(["0.5 1 2 1", "0" * 40 + "x 1 2 1"])
+            parse_lines(["0.5 1 2 1", "0" * 40 + "x 1 2 1"])
         assert exc.value.line_no == 2
         # the error names the overlong line, not a valid seconds line after it
         overlong = "0" * 40 + "1 1 2 1"
         for lines in ([overlong, "0.5 1 2 1"], [overlong, "5 1 2 1", "0.5 1 2 1"]):
             with pytest.raises(EventParseError) as exc:
-                parse_events(lines)
+                parse_lines(lines)
             assert exc.value.line_no == 1, lines
             assert "0" * 40 in str(exc.value)
 
@@ -115,32 +115,31 @@ class TestParseEvents:
         lines[3171] = "3171 1 200 1"
         lines[4000] = "4000 1 2"
         with pytest.raises(EventValidationError) as exc:
-            parse_events(lines, sensor_size=(240, 180))
+            parse_lines(lines, sensor_size=(240, 180))
         assert exc.value.line_no == 3172
         with pytest.raises(EventParseError) as exc:
-            parse_events(lines)
+            parse_lines(lines)
         assert exc.value.line_no == 4001
 
     def test_line_breaks_per_source_kind(self, tmp_path):
-        data = b"10 1 2 1\r\n\r\n20 3 4 0\r30 5 6 1\n"
-        assert parse_events(data).ts.tolist() == [10, 20, 30]
         path = tmp_path / "events.txt"
-        path.write_bytes(data)
+        path.write_bytes(b"10 1 2 1\r\n\r\n20 3 4 0\r30 5 6 1\n")
         with pytest.raises(EventParseError) as exc:
-            parse_events(path)  # a file breaks lines on "\n" only
+            parse_events(path, (240, 180))  # only "\n" ends a line
         assert exc.value.line_no == 3
-        assert parse_events(["10 1 2 1\n", b"20 3 4 0\r\n"]).ts.tolist() == [10, 20]
+        path.write_bytes(b"10 1 2 1\r\n\r\n20 3 4 0\r\n")  # "\r" is whitespace
+        assert parse_events(path, (240, 180)).ts.tolist() == [10, 20]
 
     def test_parse_from_file(self, tmp_path):
         p = tmp_path / "events.txt"
         p.write_text("10 1 2 1\n20 3 4 0\n", encoding="ascii")
-        evs = parse_events(p)
+        evs = parse_events(p, (240, 180))
         assert evs.ps.tolist() == [1, -1]
 
 
 class TestEventArray:
     def test_slices_feed_make_batch(self):
-        evs = parse_events(["0 1 2 1", "100 3 4 0", "200 5 6 1", "300 7 8 0"])
+        evs = parse_lines(["0 1 2 1", "100 3 4 0", "200 5 6 1", "300 7 8 0"])
         assert len(evs) == 4
         part = evs[1:3]
         assert len(part) == 2
@@ -150,14 +149,14 @@ class TestEventArray:
         assert np.allclose(b.norm_dts, [-1.0, 1.0])
 
     def test_column_dtypes(self):
-        evs = parse_events(["0.5 1 2 1", "600000 3 4 0"])
+        evs = parse_lines(["0.5 1 2 1", "600000 3 4 0"])
         assert [c.dtype for c in (evs.ts, evs.xs, evs.ys, evs.ps)] == [
             np.int64, np.int64, np.int64, np.int8
         ]
         assert evs.ts.tolist() == [500000, 600000]
 
     def test_no_per_event_access(self):
-        evs = parse_events(["0 1 2 1"])
+        evs = parse_lines(["0 1 2 1"])
         with pytest.raises(TypeError):
             evs[0]
 
@@ -195,7 +194,7 @@ class TestMakeBatch:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            make_batch(parse_events([]))
+            make_batch(parse_lines([]))
 
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,8 @@
 """The columnar parser against the line-by-line scalar oracle.
 
-On generated sources both must return the same columns, or raise the same
-exception type with the same line number. Numbers use the grammar the two
-share: an optional sign and ASCII digits, and for timestamps a decimal
+On generated events files both must return the same columns, or raise the
+same exception type with the same line number. Numbers use the grammar the
+two share: an optional sign and ASCII digits, and for timestamps a decimal
 point with an optional exponent. Digit separators (``1_000``), which
 Python's ``int`` accepts, are rejected by the columnar parser.
 """
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from evcm.events import EventParseError, EventValidationError, parse_events
 
+from conftest import WIDE_SENSOR
 from oracles import parse_events_scalar
 
 SENSOR = (240, 180)
@@ -117,29 +118,25 @@ def outcome(parse, source, sensor_size):
     return "ok", tuple(c.tolist() for c in (cols.ts, cols.xs, cols.ys, cols.ps))
 
 
+def outcomes(data: bytes, sensor_size):
+    """The parser's and the oracle's outcome on a file holding ``data``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.txt"
+        path.write_bytes(data)
+        parsers = (parse_events, parse_events_scalar)
+        return tuple(outcome(parse, path, sensor_size) for parse in parsers)
+
+
 @settings(max_examples=500, deadline=None)
 @given(
     lines=source_lines(),
-    eols=st.lists(st.sampled_from(["\n", "\r\n"]), min_size=25, max_size=25),
-    form=st.sampled_from(["lines", "bytes", "path"]),
-    sensor_size=st.sampled_from([None, SENSOR]),
+    eols=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=25, max_size=25),
+    sensor_size=st.sampled_from([WIDE_SENSOR, SENSOR]),
 )
-def test_columnar_parser_matches_scalar_oracle(lines, eols, form, sensor_size):
-    text = "".join(ln + eol for ln, eol in zip(lines, eols))
-    data = text.encode("latin-1")
-    if form == "lines":
-        source = [ln + eol for ln, eol in zip(lines, eols)]
-        expected = outcome(parse_events_scalar, source, sensor_size)
-        assert outcome(parse_events, source, sensor_size) == expected
-    elif form == "bytes":
-        expected = outcome(parse_events_scalar, data, sensor_size)
-        assert outcome(parse_events, data, sensor_size) == expected
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "events.txt"
-            path.write_bytes(data)
-            expected = outcome(parse_events_scalar, path, sensor_size)
-            assert outcome(parse_events, path, sensor_size) == expected
+def test_columnar_parser_matches_scalar_oracle(lines, eols, sensor_size):
+    data = "".join(ln + eol for ln, eol in zip(lines, eols)).encode("latin-1")
+    got, expected = outcomes(data, sensor_size)
+    assert got == expected
 
 
 TOKENS = [
@@ -157,11 +154,10 @@ def test_every_token_in_every_field_matches_scalar_oracle():
             fields = ["1000", "5", "6", "1"]
             fields[field] = token
             lines = ["# t x y p", "10 1 2 1", " ".join(fields), "20 3 4 0"]
-            for source in (lines, "\n".join(lines).encode("latin-1")):
-                for sensor_size in (None, SENSOR):
-                    assert outcome(parse_events, source, sensor_size) == outcome(
-                        parse_events_scalar, source, sensor_size
-                    ), (fields, sensor_size)
+            data = "\n".join(lines).encode("latin-1")
+            for sensor_size in (WIDE_SENSOR, SENSOR):
+                got, expected = outcomes(data, sensor_size)
+                assert got == expected, (fields, sensor_size)
 
 
 def test_oracle_and_parser_agree_on_generated_file(tmp_path):

@@ -25,6 +25,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SceneConfig(batches=0)
 
+    @pytest.mark.parametrize("sensor", [(0, 0), (240, 0), (-10, 180)])
+    def test_sensor_sides_positive(self, sensor):
+        with pytest.raises(ValueError, match="sensor"):
+            SceneConfig(sensor=sensor)
+
 
 class TestGenerateScene:
     def test_deterministic_per_seed(self, tmp_path):
