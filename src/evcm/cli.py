@@ -155,11 +155,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise ValueError(f"batch index {args.batch_index} is out of range")
     roi = cfg.roi_init
     batch = filter_roi(make_batch(chunk), roi)
-    threshold = max(cfg.min_roi_events, 1)
-    if len(batch) < threshold:
+    if len(batch) < cfg.min_roi_events:
         raise ValueError(
             f"only {len(batch)} events inside the ROI; estimate needs at least "
-            f"{threshold} (min_roi_events)"
+            f"{cfg.min_roi_events} (min_roi_events)"
         )
     v, trace = estimate_motion(batch, cfg.optimizer, shape=(roi.w, roi.h))
     (out_dir / "trace.csv").write_text(trace.to_csv(), encoding="ascii")

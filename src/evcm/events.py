@@ -97,12 +97,6 @@ class EventBatch:
 # the parse as they did when decoded.
 _FILE_TABLE = b"?" + bytes(range(1, 13)) + b" " + bytes(range(14, 128)) + b"?" * 128
 _COMMENT_LINE = re.compile(rb"^[ \t\x0b\x0c\x1c-\x1f]*#.*", re.MULTILINE)
-# A timestamp is read as text when the buffer holds seconds timestamps, so
-# each token can be told apart; a token that fills the field may have been
-# truncated and is rejected.
-_TEXT_T_ROW = np.dtype(
-    [("t", "S32"), ("x", np.int64), ("y", np.int64), ("p", np.int64)]
-)
 
 
 def _read_file(path) -> bytes:
@@ -115,55 +109,35 @@ def _read_file(path) -> bytes:
     return data.translate(_FILE_TABLE)
 
 
-def _loadtxt(buf: bytes, dtype, ndmin: int) -> np.ndarray:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # input with no data
-        return np.loadtxt(io.BytesIO(buf), dtype=dtype, comments=None, ndmin=ndmin)
-
-
-def _parse_tokens(tokens: np.ndarray, dtype) -> np.ndarray:
-    """Parse fixed-width byte-string tokens with the C reader, one per line."""
-    rec = tokens.view(np.uint8).reshape(len(tokens), tokens.itemsize).copy()
-    rec[rec == 0] = ord(" ")  # the padding; tokens hold no NUL
-    rec[:, -1] = ord("\n")  # tokens are shorter than the field
-    return _loadtxt(rec.tobytes(), dtype, ndmin=1)
-
-
 def _columns(
-    buf: bytes, as_text: bool
+    buf: bytes, seconds: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Parse every non-blank line of ``buf`` as ``t x y p``.
 
-    ``as_text`` reads timestamps as text so seconds can be told from
-    microseconds; it is fixed for the whole source, so a line is valid or
-    not on its own, whatever range of lines it is parsed in. Raises
-    ValueError or OverflowError when any line has the wrong field count, a
-    field that is not a number or a value beyond int64.
+    ``seconds`` reads every timestamp as seconds, else as integer
+    microseconds; it is fixed for the whole file, so a line is valid or not
+    on its own, whatever range of lines it is parsed in. Raises ValueError
+    or OverflowError when any line has the wrong field count, a field that
+    is not a number or a value beyond int64.
     """
-    if not as_text:
-        rows = _loadtxt(buf, np.int64, ndmin=2)
-        if rows.size and rows.shape[1] != 4:
-            raise ValueError("expected 4 fields")
-        ts, xs, ys, ps = np.ascontiguousarray(rows.reshape(-1, 4).T)
-        return ts, xs, ys, ps
-    rows = _loadtxt(buf, _TEXT_T_ROW, ndmin=1)
-    t_txt = rows["t"]
-    if np.any(np.strings.str_len(t_txt) >= t_txt.itemsize):
-        raise ValueError("timestamp too long")
-    seconds = np.strings.find(t_txt, b".") >= 0
-    ts = np.empty(len(rows), dtype=np.int64)
-    ts[~seconds] = _parse_tokens(t_txt[~seconds], np.int64)
-    us = _parse_tokens(t_txt[seconds], np.float64) * 1e6
-    if not np.all((us >= -(2.0**63)) & (us < 2.0**63)):
-        raise OverflowError("timestamp beyond int64")
-    ts[seconds] = np.rint(us)  # round half to even, as round() does
-    return ts, rows["x"].copy(), rows["y"].copy(), rows["p"].copy()
+    t_type = np.float64 if seconds else np.int64
+    row = [("t", t_type), ("x", np.int64), ("y", np.int64), ("p", np.int64)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # input with no data
+        rows = np.loadtxt(io.BytesIO(buf), dtype=row, comments=None, ndmin=1)
+    ts = rows["t"]
+    if seconds:
+        ts = ts * 1e6
+        if not np.all((ts >= -(2.0**63)) & (ts < 2.0**63)):
+            raise OverflowError("timestamp beyond int64")
+        ts = np.rint(ts).astype(np.int64)  # round half to even, as round() does
+    return tuple(np.ascontiguousarray(c) for c in (ts, rows["x"], rows["y"], rows["p"]))
 
 
-def _valid_columns(buf: bytes, as_text: bool, sensor_size: tuple[int, int]):
+def _valid_columns(buf: bytes, seconds: bool, sensor_size: tuple[int, int]):
     """The columns of ``buf``, or None if any line is malformed or invalid."""
     try:
-        ts, xs, ys, ps = _columns(buf, as_text)
+        ts, xs, ys, ps = _columns(buf, seconds)
     except (ValueError, OverflowError):
         return None
     bad = (ts < 0) | (xs < 0) | (ys < 0) | ((ps != 0) & (ps != 1))
@@ -171,7 +145,7 @@ def _valid_columns(buf: bytes, as_text: bool, sensor_size: tuple[int, int]):
     return None if bad.any() else (ts, xs, ys, ps)
 
 
-def _first_error(buf: bytes, as_text: bool, sensor_size: tuple[int, int]) -> ValueError:
+def _first_error(buf: bytes, seconds: bool, sensor_size: tuple[int, int]) -> ValueError:
     """Locate the first line that fails the whole-array checks and describe it.
 
     Bisects over line ranges with the same checks: the first bad line lies in
@@ -183,21 +157,21 @@ def _first_error(buf: bytes, as_text: bool, sensor_size: tuple[int, int]) -> Val
     lo, hi = 0, len(bounds) - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _valid_columns(buf[bounds[lo] : bounds[mid]], as_text, sensor_size) is None:
+        if _valid_columns(buf[bounds[lo] : bounds[mid]], seconds, sensor_size) is None:
             hi = mid
         else:
             lo = mid
-    return _line_error(buf[bounds[lo] : bounds[hi]], lo + 1, as_text, sensor_size)
+    return _line_error(buf[bounds[lo] : bounds[hi]], lo + 1, seconds, sensor_size)
 
 
-def _line_error(line: bytes, line_no: int, as_text: bool, sensor_size) -> ValueError:
+def _line_error(line: bytes, line_no: int, seconds: bool, sensor_size) -> ValueError:
     """The error for one line that failed the whole-array checks."""
     text = line.decode("ascii").strip()
     fields = text.split()
     if len(fields) != 4:
         return EventParseError(line_no, f"expected 4 fields, got {len(fields)}")
     try:
-        t, x, y, p = (int(c[0]) for c in _columns(line, as_text))
+        t, x, y, p = (int(c[0]) for c in _columns(line, seconds))
     except (ValueError, OverflowError):
         return EventParseError(line_no, f"field not a number or beyond int64 in {text!r}")
     if min(t, x, y) < 0:
@@ -217,23 +191,24 @@ def parse_events(path, sensor_size: tuple[int, int]) -> EventArray:
 
     The whole file is read into one buffer and parsed by numpy's C text
     reader; every check runs on whole columns. Only ``\\n`` ends a line, and
-    ``\\r`` (as in CRLF files) is field whitespace. Timestamps containing a
-    decimal point are seconds (rounded half to even to integer
-    microseconds); plain integers are microseconds. Polarity 0 maps to -1,
-    1 to +1. Lines whose first non-blank character is ``#`` and blank lines
-    are skipped but still counted. A malformed line raises
-    ``EventParseError`` and a field outside the sensor or below zero
-    ``EventValidationError``, each carrying the 1-based number of the first
-    bad line. Events built in memory need no parse: make an ``EventArray``
-    from their columns, as ``evcm.synth`` does.
+    ``\\r`` (as in CRLF files) is field whitespace. The timestamp unit belongs
+    to the file: if any non-comment line holds a ``.``, every timestamp is in
+    seconds (``0.5``, ``5.``, ``1e-05`` and ``1`` alike, rounded half to even
+    to integer microseconds); otherwise every timestamp is an integer of
+    microseconds. Polarity 0 maps to -1, 1 to +1. Lines whose first
+    non-blank character is ``#`` and blank lines are skipped but still
+    counted. A malformed line raises ``EventParseError`` and a field outside
+    the sensor or below zero ``EventValidationError``, each carrying the
+    1-based number of the first bad line. Events built in memory need no
+    parse: make an ``EventArray`` from their columns, as ``evcm.synth`` does.
     """
     buf = _read_file(path)
     if b"#" in buf:
         buf = _COMMENT_LINE.sub(b"", buf)  # keeps the "\n", so lines still count
-    as_text = b"." in buf
-    cols = _valid_columns(buf, as_text, sensor_size)
+    seconds = b"." in buf  # one unit for the whole file
+    cols = _valid_columns(buf, seconds, sensor_size)
     if cols is None:
-        raise _first_error(buf, as_text, sensor_size)
+        raise _first_error(buf, seconds, sensor_size)
     ts, xs, ys, ps = cols
     return EventArray(ts, xs, ys, (2 * ps - 1).astype(np.int8))
 

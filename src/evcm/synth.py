@@ -45,6 +45,11 @@ class SceneConfig:
             raise ValueError("batches and events_per_batch must be >= 1")
         if min(self.sensor) < 1:
             raise ValueError(f"sensor sides must be >= 1, got {self.sensor}")
+        for name, pair in (("velocity", self.velocity), ("start", self.start)):
+            if not np.isfinite(pair).all():
+                raise ValueError(f"{name} must be finite, got {pair}")
+        if self.batch_duration_us < 1:
+            raise ValueError(f"batch_duration_us must be >= 1, got {self.batch_duration_us}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,8 +30,8 @@ class TrackerConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.min_roi_events < 0:
-            raise ValueError("min_roi_events must be non-negative")
+        if self.min_roi_events < 1:
+            raise ValueError("min_roi_events must be >= 1")
         # chained comparisons are False for NaN, so NaN fails the check
         if not 0 <= self.roi_update_scale < math.inf:
             raise ValueError(
@@ -114,7 +114,7 @@ def track(events: EventArray, cfg: TrackerConfig) -> TrackResult:
     batch_index = 0
     for start in range(0, len(events), cfg.batch_size):
         chunk = events[start : start + cfg.batch_size]
-        if len(chunk) < cfg.batch_size and len(chunk) < max(cfg.min_roi_events, 1):
+        if len(chunk) < cfg.batch_size and len(chunk) < cfg.min_roi_events:
             break  # trailing remnant too small to be meaningful
         batch = make_batch(chunk)
         in_roi = filter_roi(batch, roi)

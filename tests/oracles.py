@@ -17,11 +17,13 @@ def parse_events_scalar(path, sensor_size):
     """Line-by-line ``t x y p`` parser: (ts, xs, ys, ps) lists, ps in -1/+1.
 
     Only ``\\n`` ends a line, values beyond int64 are parse errors, and
-    polarity must be 0 or 1.
+    polarity must be 0 or 1. Timestamps are seconds when any non-comment
+    line holds a ``.``, else integer microseconds.
     """
     cols = ([], [], [], [])
     with open(path, "rb") as fh:  # binary lines end at b"\n" only
         lines = [ln.decode("ascii", errors="replace") for ln in fh]
+    seconds = any("." in ln for ln in lines if not ln.strip().startswith("#"))
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -31,7 +33,7 @@ def parse_events_scalar(path, sensor_size):
             raise EventParseError(line_no, f"expected 4 fields, got {len(parts)}")
         t_tok, x_tok, y_tok, p_tok = parts
         try:
-            t = int(round(float(t_tok) * 1e6)) if "." in t_tok else int(t_tok)
+            t = round(float(t_tok) * 1e6) if seconds else int(t_tok)
             x = int(x_tok)
             y = int(y_tok)
             p = int(p_tok)

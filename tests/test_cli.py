@@ -146,6 +146,19 @@ class TestSynthCommand:
             tmp_path / "b" / "events.txt"
         ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [(["--vx", "nan"], "velocity must be finite"),
+         (["--start-y", "inf"], "start must be finite"),
+         (["--batch-duration-us", "0"], "batch_duration_us must be >= 1"),
+         (["--batch-duration-us", "-5"], "batch_duration_us must be >= 1")],
+    )
+    def test_bad_scene_fails(self, tmp_path, argv, message, capsys):
+        out = tmp_path / "scene"
+        assert main(["synth", "--output-dir", str(out), *argv]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
 
 class TestTrackCommand:
     def test_trajectory_rows(self, fixture_events, tmp_path, capsys):
@@ -309,7 +322,8 @@ class TestEstimateCommand:
         "argv,message",
         [(["--batch-size", "-5"], "batch_size must be >= 1"),
          (["--roi", "300x64"], "ROI 300x64 does not fit the 240x180 sensor"),
-         (["--roi-x0", "nan"], "ROI origin (nan, 0.0) must lie in")],
+         (["--roi-x0", "nan"], "ROI origin (nan, 0.0) must lie in"),
+         (["--min-roi-events", "0"], "min_roi_events must be >= 1")],
     )
     def test_tracker_config_checks(self, fixture_events, tmp_path, argv, message, capsys):
         out = tmp_path / "est"

@@ -97,18 +97,22 @@ class TestParseEvents:
             parse_lines(["1_000 1 2 1", "0.5 1 2 1"])
 
     def test_overlong_timestamp_rejected_next_to_seconds(self):
-        # seconds timestamps are read as fixed-width text; a token that
-        # fills the field must not be truncated into a valid number
+        # a long token is read whole, never cut into a valid number
         with pytest.raises(EventParseError) as exc:
             parse_lines(["0.5 1 2 1", "0" * 40 + "x 1 2 1"])
         assert exc.value.line_no == 2
-        # the error names the overlong line, not a valid seconds line after it
-        overlong = "0" * 40 + "1 1 2 1"
-        for lines in ([overlong, "0.5 1 2 1"], [overlong, "5 1 2 1", "0.5 1 2 1"]):
-            with pytest.raises(EventParseError) as exc:
-                parse_lines(lines)
-            assert exc.value.line_no == 1, lines
-            assert "0" * 40 in str(exc.value)
+
+    def test_timestamp_unit_is_the_files(self):
+        # one "." puts every timestamp of the file in seconds, exponent
+        # forms and bare integers included
+        assert parse_lines(["0.0 1 2 1", "1e-05 3 4 0", "1 5 6 1"]).ts.tolist() == [
+            0, 10, 1000000
+        ]
+        # a "." in a comment does not
+        assert parse_lines(["# t [us] 0.5", "1 5 6 1"]).ts.tolist() == [1]
+        with pytest.raises(EventParseError) as exc:
+            parse_lines(["0 1 2 1", "1e-05 3 4 0"])
+        assert exc.value.line_no == 2
 
     def test_first_bad_line_of_a_long_file(self):
         lines = [f"{t} {t % 240} {t % 180} {t % 2}" for t in range(5000)]
@@ -149,7 +153,7 @@ class TestEventArray:
         assert np.allclose(b.norm_dts, [-1.0, 1.0])
 
     def test_column_dtypes(self):
-        evs = parse_lines(["0.5 1 2 1", "600000 3 4 0"])
+        evs = parse_lines(["0.5 1 2 1", "0.6 3 4 0"])
         assert [c.dtype for c in (evs.ts, evs.xs, evs.ys, evs.ps)] == [
             np.int64, np.int64, np.int64, np.int8
         ]

@@ -1,10 +1,11 @@
 """The columnar parser against the line-by-line scalar oracle.
 
 On generated events files both must return the same columns, or raise the
-same exception type with the same line number. Numbers use the grammar the
-two share: an optional sign and ASCII digits, and for timestamps a decimal
-point with an optional exponent. Digit separators (``1_000``), which
-Python's ``int`` accepts, are rejected by the columnar parser.
+same exception type with the same line number. Each file's clean lines use
+one timestamp unit, drawn per file. Numbers use the grammar the two share:
+an optional sign and ASCII digits, and for timestamps in seconds a decimal
+point or an exponent. Digit separators (``1_000``), which Python's ``int``
+accepts, are rejected by the columnar parser.
 """
 
 import tempfile
@@ -31,8 +32,11 @@ def microseconds(draw):
 
 @st.composite
 def seconds(draw):
-    if draw(st.integers(0, 9)) == 0:  # an exact half microsecond, rounded to even
+    kind = draw(st.integers(0, 9))
+    if kind == 0:  # an exact half microsecond, rounded to even
         return f"{draw(st.integers(0, 39))}.5e-6"
+    if kind == 1:  # no "." of its own: seconds only by its file's other lines
+        return draw(st.sampled_from(["0", "1", "12", "1e-05", "3E2"]))
     whole = draw(st.sampled_from(["", "0", "1", "12", "3600", "4294967"]))
     frac = draw(st.text("0123456789", min_size=0 if whole else 1, max_size=9))
     exp = draw(st.sampled_from(["", "", "", "e0", "e-3", "E2"]))
@@ -40,8 +44,8 @@ def seconds(draw):
 
 
 @st.composite
-def event_fields(draw):
-    t = draw(st.one_of(microseconds(), seconds()))
+def event_fields(draw, timestamps):
+    t = draw(timestamps)
     x = draw(st.integers(0, SENSOR[0] - 1))
     y = draw(st.integers(0, SENSOR[1] - 1))
     p = draw(st.sampled_from([0, 1]))
@@ -89,22 +93,25 @@ def _render(fields, draw):
 
 
 @st.composite
-def clean_line(draw):
+def clean_line(draw, timestamps):
     kind = draw(st.sampled_from(["event"] * 6 + ["comment", "blank"]))
     if kind == "comment":
         return draw(st.sampled_from(MARGINS)) + "#" + draw(st.text(" .#0123456789abc", max_size=12))
     if kind == "blank":
         return draw(st.sampled_from(["", " ", "\t", "  \t "]))
-    return _render(draw(event_fields()), draw)
+    return _render(draw(event_fields(timestamps)), draw)
 
 
 @st.composite
 def source_lines(draw):
-    """Clean lines with up to three injected faults at random positions."""
-    lines = draw(st.lists(clean_line(), max_size=12))
+    """Clean lines in one timestamp unit with up to three injected faults at
+    random positions."""
+    timestamps = draw(st.sampled_from([microseconds(), seconds()]))
+    lines = draw(st.lists(clean_line(timestamps), max_size=12))
     for _ in range(draw(st.integers(0, 3))):
         fault = FAULTS[draw(st.sampled_from(sorted(FAULTS)))]
-        lines.insert(draw(st.integers(0, len(lines))), _render(fault(draw(event_fields()), draw), draw))
+        fields = fault(draw(event_fields(timestamps)), draw)
+        lines.insert(draw(st.integers(0, len(lines))), _render(fields, draw))
     return lines
 
 
@@ -165,10 +172,11 @@ def test_oracle_and_parser_agree_on_generated_file(tmp_path):
     n = 20_000
     ts = np.sort(rng.integers(0, 10**9, n))
     xs, ys, ps = rng.integers(0, 240, n), rng.integers(0, 180, n), rng.integers(0, 2, n)
-    lines = [
-        f"{t / 1e6:.6f} {x} {y} {p}" if i % 2 else f"{t} {x} {y} {p}"
-        for i, (t, x, y, p) in enumerate(zip(ts.tolist(), xs.tolist(), ys.tolist(), ps.tolist()))
-    ]
+    rows = list(zip(ts.tolist(), xs.tolist(), ys.tolist(), ps.tolist()))
     path = tmp_path / "events.txt"
-    path.write_text("# mixed units\n" + "\n".join(lines) + "\n", encoding="ascii")
-    assert outcome(parse_events, path, SENSOR) == outcome(parse_events_scalar, path, SENSOR)
+    for unit, t_text in (("us", str), ("s", lambda t: f"{t / 1e6:.6f}")):
+        lines = [f"{t_text(t)} {x} {y} {p}" for t, x, y, p in rows]
+        path.write_text(f"# t [{unit}] x y p\n" + "\n".join(lines) + "\n", encoding="ascii")
+        got = outcome(parse_events, path, SENSOR)
+        assert got == outcome(parse_events_scalar, path, SENSOR)
+        assert got[0] == "ok" and got[1][0] == ts.tolist(), unit

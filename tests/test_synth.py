@@ -30,6 +30,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="sensor"):
             SceneConfig(sensor=sensor)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("velocity", (float("nan"), -2.0)), ("velocity", (3.0, float("-inf"))),
+         ("start", (120.0, float("inf"))), ("start", (float("nan"), 90.0)),
+         ("batch_duration_us", 0), ("batch_duration_us", -5)],
+    )
+    def test_unusable_scene_rejected(self, field, value):
+        # a NaN centre piles every event on one border column, and a zero
+        # duration divides by zero
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SceneConfig(**{field: value})
+
 
 class TestGenerateScene:
     def test_deterministic_per_seed(self, tmp_path):
