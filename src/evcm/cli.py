@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -17,12 +18,7 @@ from .cyclemodel import (
     speedup_report,
 )
 from .events import EventArray, Roi, filter_roi, make_batch, parse_events
-from .optimizer import (
-    OptimizationError,
-    OptimizerConfig,
-    estimate_motion,
-    final_image_set,
-)
+from .optimizer import OptimizationError, OptimizerConfig, estimate_motion
 from .synth import SceneConfig, generate_scene
 from .tracker import TrackerConfig, track
 from .voting import write_pgm
@@ -97,6 +93,9 @@ def _run_config(args: argparse.Namespace) -> tuple[TrackerConfig, str | None, Pa
     def pick(cls, key: str = "{}") -> dict:
         return {f.name: s[key.format(f.name)] for f in fields(cls) if key.format(f.name) in s}
 
+    for key in ("vx_init", "vy_init"):  # Velocity's own check names neither key
+        if not math.isfinite(s.get(key, 0.0)):
+            raise ValueError(f"{key} must be finite, got {s[key]}")
     out_dir = Path(s.get("output_dir", "."))
     base = TrackerConfig()
     optimizer = replace(
@@ -163,8 +162,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     v, trace = estimate_motion(batch, cfg.optimizer, shape=(roi.w, roi.h))
     (out_dir / "trace.csv").write_text(trace.to_csv(), encoding="ascii")
     if cfg.dump_iwe_dir is not None:
-        imgs = final_image_set(batch, v, (roi.w, roi.h))
-        write_pgm(imgs.iwe, out_dir / "iwe_final.pgm")
+        write_pgm(trace.final_images.iwe, out_dir / "iwe_final.pgm")
     print(
         f"iterations: {len(trace)}  v = ({v.vx:.4f}, {v.vy:.4f})  "
         f"contrast: {trace.final_contrast:.6g}"

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 from .events import EventBatch
-from .objective import evaluate
+from .objective import contrast, evaluate
 from .voting import ImageSet, NaiveAccumulator
 from .warp import Velocity, warp_batch
 
@@ -43,18 +43,20 @@ class IterationRecord:
 
 @dataclass
 class OptimizationTrace:
+    """One record per ascent step, and the images read out at the velocity
+    the ascent returns (after the last step)."""
+
     records: list[IterationRecord]
     learning_rate: float
-    # pipeline work counters (tie-in for the cycle model):
-    vote_ops: int = 0             # events issued to voting, summed over iterations
-    readout_addresses: int = 0    # grid addresses read back, summed over iterations
+    final_images: ImageSet
 
     def __len__(self) -> int:
         return len(self.records)
 
     @property
     def final_contrast(self) -> float:
-        return self.records[-1].contrast
+        """Contrast at the returned velocity."""
+        return contrast(self.final_images.iwe)[0]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -92,9 +94,10 @@ def estimate_motion(
 
     Each iteration warps the batch at the current velocity, accumulates the
     three images, evaluates contrast and gradient, then steps the velocity.
-    An iteration whose votes all land outside the grid raises
-    ``OptimizationError``: the velocity has run away, and every later step
-    would be taken on an empty image.
+    A closing readout at the returned velocity gives the trace's
+    ``final_images`` and ``final_contrast``. A readout whose votes all land
+    outside the grid, the closing one included, raises ``OptimizationError``:
+    the velocity has run away.
     """
     n = len(batch)
     if n == 0:
@@ -104,9 +107,8 @@ def estimate_motion(
 
     v = cfg.v_init
     records: list[IterationRecord] = []
-    for it in range(cfg.iterations):
-        warped = warp_batch(batch, v)
-        acc.accumulate(warped)
+    for it in range(cfg.iterations + 1):
+        acc.accumulate(warp_batch(batch, v))
         imgs = acc.read_and_clear()
         if not imgs.in_bounds_mass > 0.0:
             raise OptimizationError(
@@ -114,23 +116,11 @@ def estimate_motion(
                 f"v = ({v.vx:.6g}, {v.vy:.6g}): the ascent diverged or "
                 f"started off the grid"
             )
+        if it == cfg.iterations:
+            break
         c, g_vx, g_vy = evaluate(imgs)
         if not (math.isfinite(g_vx) and math.isfinite(g_vy)):
             raise OptimizationError(f"non-finite gradient at iteration {it}")
         records.append(IterationRecord(it, v, c, g_vx, g_vy))
         v = Velocity(v.vx + eta * g_vx, v.vy + eta * g_vy)
-    # every iteration votes all n events and reads back every grid address
-    trace = OptimizationTrace(
-        records=records,
-        learning_rate=eta,
-        vote_ops=n * cfg.iterations,
-        readout_addresses=shape[0] * shape[1] * cfg.iterations,
-    )
-    return v, trace
-
-
-def final_image_set(batch: EventBatch, v: Velocity, shape: tuple[int, int]) -> ImageSet:
-    """Accumulate one image set at a fixed velocity (diagnostics / dumps)."""
-    acc = NaiveAccumulator(shape)
-    acc.accumulate(warp_batch(batch, v))
-    return acc.read_and_clear()
+    return v, OptimizationTrace(records, eta, imgs)

@@ -50,6 +50,10 @@ class SceneConfig:
                 raise ValueError(f"{name} must be finite, got {pair}")
         if self.batch_duration_us < 1:
             raise ValueError(f"batch_duration_us must be >= 1, got {self.batch_duration_us}")
+        if self.object_size < 1:
+            raise ValueError(f"object_size must be >= 1, got {self.object_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .events import EventArray, Roi, filter_roi, make_batch
-from .optimizer import OptimizerConfig, estimate_motion, final_image_set
+from .optimizer import OptimizerConfig, estimate_motion
 from .voting import write_pgm
 from .warp import Velocity
 
@@ -126,8 +126,7 @@ def track(events: EventArray, cfg: TrackerConfig) -> TrackResult:
             v, trace = estimate_motion(in_roi, opt_cfg, shape=(roi.w, roi.h))
             contrast_val = trace.final_contrast
             if dump_dir is not None:
-                imgs = final_image_set(in_roi, v, (roi.w, roi.h))
-                write_pgm(imgs.iwe, dump_dir / f"iwe_{batch_index:04d}.pgm")
+                write_pgm(trace.final_images.iwe, dump_dir / f"iwe_{batch_index:04d}.pgm")
         records.append(BatchRecord(batch_index, roi, v, contrast_val, n))
         roi = update_roi(roi, v, cfg.roi_update_scale, sensor=sensor)
         batch_index += 1

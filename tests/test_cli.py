@@ -151,7 +151,10 @@ class TestSynthCommand:
         [(["--vx", "nan"], "velocity must be finite"),
          (["--start-y", "inf"], "start must be finite"),
          (["--batch-duration-us", "0"], "batch_duration_us must be >= 1"),
-         (["--batch-duration-us", "-5"], "batch_duration_us must be >= 1")],
+         (["--batch-duration-us", "-5"], "batch_duration_us must be >= 1"),
+         (["--size", "-5"], "object_size must be >= 1"),
+         (["--size", "0"], "object_size must be >= 1"),
+         (["--seed", "-1"], "seed must be >= 0")],
     )
     def test_bad_scene_fails(self, tmp_path, argv, message, capsys):
         out = tmp_path / "scene"
@@ -236,6 +239,20 @@ class TestTrackCommand:
         assert capsys.readouterr().err.startswith("error: ROI origin (500.0, 68.0)")
         assert not (out / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flag,key,value",
+        [("--vx-init", "vx_init", "nan"), ("--vy-init", "vy_init", "-inf")],
+    )
+    def test_non_finite_velocity_init_names_setting(self, fixture_events, tmp_path,
+                                                    flag, key, value, capsys):
+        out = tmp_path / "run"
+        cfg_path = write_config(tmp_path, f"input_path = {fixture_events}\n{key} = {value}\n")
+        for argv in (["--input", str(fixture_events), f"{flag}={value}"],
+                     ["--config", cfg_path]):
+            assert main(["track", *argv, "--output-dir", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: {key} must be finite, got {value}\n"
+            assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--accumulator-mode", "--seed"])
     def test_removed_run_flags_rejected(self, fixture_events, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -305,6 +322,21 @@ class TestEstimateCommand:
         rows = (out / "trace.csv").read_text(encoding="ascii").splitlines()[1:]
         contrasts = [float(r.split(",")[3]) for r in rows]
         assert all(b >= a - 1e-9 for a, b in zip(contrasts, contrasts[1:]))
+
+    @pytest.mark.parametrize("command,output", [("estimate", "trace.csv"),
+                                                ("track", "trajectory.csv")])
+    def test_runaway_last_step_fails(self, fixture_events, tmp_path, command, output,
+                                     capsys):
+        # one step carries every vote off the grid; the velocity is not reported
+        out = tmp_path / "run"
+        rc = main(
+            [command, "--input", str(fixture_events), "--batch-size", "2000",
+             "--roi-x0", "18", "--roi-y0", "68", "--learning-rate", "1e9",
+             "--iterations", "1", "--output-dir", str(out)]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: no vote mass")
+        assert not (out / output).exists()
 
     def test_divergent_step_fails_loudly(self, fixture_events, tmp_path, capsys):
         rc = main(

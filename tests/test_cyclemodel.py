@@ -109,5 +109,6 @@ class TestModelTiesToImplementation:
             shape=(64, 64),
         )
         p = CycleParams(N=len(batch), T=t_iters, n=len(batch), P=64 * 64)
-        assert trace.vote_ops == p.T * p.n
-        assert trace.readout_addresses == p.T * (p.P // 4) * 4
+        # each ascent step votes every ROI event and reads back every address
+        assert len(trace) * len(batch) == p.T * p.n
+        assert len(trace) * trace.final_images.iwe.size == p.T * (p.P // 4) * 4

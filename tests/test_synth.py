@@ -34,11 +34,12 @@ class TestConfigValidation:
         "field,value",
         [("velocity", (float("nan"), -2.0)), ("velocity", (3.0, float("-inf"))),
          ("start", (120.0, float("inf"))), ("start", (float("nan"), 90.0)),
-         ("batch_duration_us", 0), ("batch_duration_us", -5)],
+         ("batch_duration_us", 0), ("batch_duration_us", -5),
+         ("object_size", 0), ("object_size", -5), ("seed", -1)],
     )
     def test_unusable_scene_rejected(self, field, value):
-        # a NaN centre piles every event on one border column, and a zero
-        # duration divides by zero
+        # a NaN centre piles every event on one border column, a zero
+        # duration divides by zero, and a negative size mirrors the object
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SceneConfig(**{field: value})
 

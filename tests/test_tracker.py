@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from evcm.events import Roi
+from evcm.events import Roi, filter_roi, make_batch
+from evcm.objective import contrast
 from evcm.optimizer import OptimizerConfig
 from evcm.synth import SceneConfig, generate_scene
 from evcm.tracker import TrackerConfig, track, update_roi
-from evcm.warp import Velocity
+from evcm.warp import Velocity, warp_batch
 
-from conftest import event_array
+from conftest import accumulate_images, event_array
 
 
 class TestUpdateRoi:
@@ -98,6 +99,18 @@ class TestTrack:
         lines = res.to_csv().splitlines()
         assert lines[0] == "batch,x_roi,y_roi,vx,vy,contrast,events_in_roi"
         assert len(lines) == 4
+
+    def test_contrast_is_taken_at_the_recorded_velocity(self):
+        sc = scene_events(batches=3)
+        cfg = TrackerConfig(
+            batch_size=2000, roi_init=Roi(18, 68, 64, 64), roi_update_scale=2.0
+        )
+        res = track(sc, cfg)
+        for rec in res.records:
+            start = rec.batch_index * cfg.batch_size
+            batch = filter_roi(make_batch(sc[start : start + cfg.batch_size]), rec.roi)
+            imgs = accumulate_images(warp_batch(batch, rec.velocity), (64, 64))
+            assert rec.contrast == contrast(imgs.iwe)[0]
 
     def test_batch_size_larger_than_stream(self):
         sc = scene_events(batches=1)
