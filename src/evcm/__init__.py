@@ -14,6 +14,7 @@ from .warp import Velocity, WarpedBatch, warp_batch
 from .voting import (
     BankedAccumulator,
     ImageSet,
+    IweScatter,
     NaiveAccumulator,
     VotingConfigError,
     write_pgm,

@@ -162,7 +162,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     v, trace = estimate_motion(batch, cfg.optimizer, shape=(roi.w, roi.h))
     (out_dir / "trace.csv").write_text(trace.to_csv(), encoding="ascii")
     if cfg.dump_iwe_dir is not None:
-        write_pgm(trace.final_images.iwe, out_dir / "iwe_final.pgm")
+        write_pgm(trace.final_iwe, out_dir / "iwe_final.pgm")
     print(
         f"iterations: {len(trace)}  v = ({v.vx:.4f}, {v.vy:.4f})  "
         f"contrast: {trace.final_contrast:.6g}"

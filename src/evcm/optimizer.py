@@ -6,9 +6,11 @@ import io
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .events import EventBatch
 from .objective import contrast, evaluate
-from .voting import ImageSet, NaiveAccumulator
+from .voting import IweScatter
 from .warp import Velocity, warp_batch
 
 
@@ -43,12 +45,12 @@ class IterationRecord:
 
 @dataclass
 class OptimizationTrace:
-    """One record per ascent step, and the images read out at the velocity
-    the ascent returns (after the last step)."""
+    """One record per ascent step, and the IWE read out at the velocity the
+    ascent returns (after the last step)."""
 
     records: list[IterationRecord]
     learning_rate: float
-    final_images: ImageSet
+    final_iwe: np.ndarray
 
     def __len__(self) -> int:
         return len(self.records)
@@ -56,7 +58,7 @@ class OptimizationTrace:
     @property
     def final_contrast(self) -> float:
         """Contrast at the returned velocity."""
-        return contrast(self.final_images.iwe)[0]
+        return contrast(self.final_iwe)[0]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -92,25 +94,24 @@ def estimate_motion(
     """Run ``cfg.iterations`` gradient-ascent steps on the (w, h) ROI grid
     ``shape`` and return the final velocity.
 
-    Each iteration warps the batch at the current velocity, accumulates the
-    three images, evaluates contrast and gradient, then steps the velocity.
+    Each iteration warps the batch at the current velocity, scatters the
+    IWE, gathers contrast and gradient from it, then steps the velocity.
     A closing readout at the returned velocity gives the trace's
-    ``final_images`` and ``final_contrast``. A readout whose votes all land
-    outside the grid, the closing one included, raises ``OptimizationError``:
-    the velocity has run away.
+    ``final_iwe`` and ``final_contrast``. A readout whose votes all land
+    outside the grid, the closing one included, or a step that overflows
+    raises ``OptimizationError``: the velocity has run away.
     """
     n = len(batch)
     if n == 0:
         raise ValueError("cannot estimate motion from an empty batch")
     eta = cfg.learning_rate if cfg.learning_rate is not None else default_learning_rate(n)
-    acc = NaiveAccumulator(shape)
+    grid = IweScatter(n, shape)
 
     v = cfg.v_init
     records: list[IterationRecord] = []
     for it in range(cfg.iterations + 1):
-        acc.accumulate(warp_batch(batch, v))
-        imgs = acc.read_and_clear()
-        if not imgs.in_bounds_mass > 0.0:
+        grid.scatter(warp_batch(batch, v))
+        if not grid.in_bounds_mass > 0.0:
             raise OptimizationError(
                 f"no vote mass inside the grid at iteration {it}, "
                 f"v = ({v.vx:.6g}, {v.vy:.6g}): the ascent diverged or "
@@ -118,9 +119,15 @@ def estimate_motion(
             )
         if it == cfg.iterations:
             break
-        c, g_vx, g_vy = evaluate(imgs)
+        c, g_vx, g_vy = evaluate(grid)
         if not (math.isfinite(g_vx) and math.isfinite(g_vy)):
             raise OptimizationError(f"non-finite gradient at iteration {it}")
         records.append(IterationRecord(it, v, c, g_vx, g_vy))
-        v = Velocity(v.vx + eta * g_vx, v.vy + eta * g_vy)
-    return v, OptimizationTrace(records, eta, imgs)
+        vx, vy = v.vx + eta * g_vx, v.vy + eta * g_vy
+        if not (math.isfinite(vx) and math.isfinite(vy)):
+            raise OptimizationError(
+                f"the step from v = ({v.vx:.6g}, {v.vy:.6g}) overflowed at "
+                f"iteration {it}: the ascent diverged"
+            )
+        v = Velocity(vx, vy)
+    return v, OptimizationTrace(records, eta, grid.iwe)

@@ -126,7 +126,7 @@ def track(events: EventArray, cfg: TrackerConfig) -> TrackResult:
             v, trace = estimate_motion(in_roi, opt_cfg, shape=(roi.w, roi.h))
             contrast_val = trace.final_contrast
             if dump_dir is not None:
-                write_pgm(trace.final_images.iwe, dump_dir / f"iwe_{batch_index:04d}.pgm")
+                write_pgm(trace.final_iwe, dump_dir / f"iwe_{batch_index:04d}.pgm")
         records.append(BatchRecord(batch_index, roi, v, contrast_val, n))
         roi = update_roi(roi, v, cfg.roi_update_scale, sensor=sensor)
         batch_index += 1

@@ -1,31 +1,32 @@
-"""Bilinear voting and accumulation of the three gradient images.
+"""Bilinear voting: the estimator's IWE scatter, and the accumulators of the
+IWE and its two velocity-derivative images.
 
 Each warped event spreads over its four neighboring pixels with bilinear
-weights; alongside the plain weight, every pixel receives the two velocity
-derivatives of that weight. Two accumulators are provided:
+weights, and every pixel may also receive the two velocity derivatives of
+that weight. Three voters share one stencil (``_stencil``):
 
-* ``NaiveAccumulator`` sums contributions straight into dense grids.
+* ``IweScatter``, which the estimator runs, scatters the IWE alone and keeps
+  the stencil, from which ``objective.evaluate`` gathers the gradient.
+* ``NaiveAccumulator`` sums all three images straight into dense grids; it
+  is the reference for the banked one and for the gradient.
 * ``BankedAccumulator`` structurally emulates the hardware datapath:
   12 memory banks (3 image roles x 4 coordinate-parity banks), each a
   3-stage read-modify-write pipeline with a 3-entry forwarding buffer
-  resolving same-address hazards, and clear-on-read semantics.
+  resolving same-address hazards, and clear-on-read semantics. It is
+  driven directly, as a model of the datapath; a forwarding-disabled
+  variant exists only to demonstrate the hazard the buffer fixes.
 
-The banked accumulator must produce results bit-identical to the naive one
-for any input; a forwarding-disabled variant exists only to demonstrate
-the hazard it fixes. The estimator runs the naive accumulator; the banked
-one is driven directly, as a model of the datapath.
-
-Both consume one vote stream, built CHUNK_EVENTS events at a time, so the
-memory of an ``accumulate`` call does not grow with the batch. Temporaries
-sized by the whole batch run to hundreds of KB; the allocator returns such
-blocks to the OS and page-faults them back in on every ascent iteration,
-which costs more than the arithmetic. Instead of masking off-grid corners,
-the naive grids carry a PAD-pixel ring that catches them and is cut away
-on read, so no mask or filtered copy is made. ``np.add.at`` adds each
-contribution in (event, corner) order, across chunks and across calls, so
-every pixel is the same sequential sum as in the banked datapath and the
-results stay bit-identical to it. Summing per-chunk partials (``bincount``)
-would change the rounding.
+Temporaries sized by the whole batch run to hundreds of KB; the allocator
+returns such blocks to the OS and page-faults them back in on every ascent
+iteration, which costs more than the arithmetic. So ``IweScatter`` keeps
+its batch-sized buffers for the whole ascent, and the accumulators vote
+CHUNK_EVENTS events at a time. Instead of masking off-grid corners, the
+grids carry a PAD-pixel ring that catches them and is cut away on read.
+``np.add.at`` adds each contribution in (event, corner) order, across chunks
+and across calls, and one unchunked ``np.bincount`` adds in the same order,
+so every pixel is the same sequential sum in all three voters and their
+IWEs are bit-identical. Only summing per-chunk partials would change the
+rounding.
 """
 
 from __future__ import annotations
@@ -78,57 +79,67 @@ def write_pgm(grid: np.ndarray, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def _stencil(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
+             P: np.ndarray, W: np.ndarray, F: np.ndarray) -> None:
+    """Bilinear stencil of a run of n warped events, written into P, W, F.
+
+    P and W are (n, 4), event-major with the fixed corner order (i,j),
+    (i+1,j), (i,j+1), (i+1,j+1): P indexes the flattened grid padded by PAD
+    pixels per side, W holds the bilinear weights. F is (4, n) and receives
+    the fractional offsets dx, dy and their complements 1 - dx, 1 - dy. The
+    floor coordinates are clamped to [-PAD, w] x [-PAD, h] first, so a
+    stencil that leaves the grid lands in the padding ring whatever its
+    distance, and the int cast cannot overflow (fmin/fmax also send NaN
+    there). Clamping only moves stencils that are wholly off the grid; the
+    weights come from the unclamped floor. Every step writes into the given
+    buffers, so a call allocates nothing sized by n.
+    """
+    w_dim, h_dim = shape
+    pw = w_dim + 2 * PAD
+    dx, dy, one_dx, one_dy = F
+    fx = np.floor(xs, out=one_dx)  # the floors borrow the complements' rows
+    fy = np.floor(ys, out=one_dy)
+    np.subtract(xs, fx, out=dx)
+    np.subtract(ys, fy, out=dy)
+    np.fmax(np.fmin(fx, w_dim, out=fx), -PAD, out=fx)
+    np.fmax(np.fmin(fy, h_dim, out=fy), -PAD, out=fy)
+    # the padded index (j + PAD) * pw + (i + PAD); exact in float64, as the
+    # clamp bounds it, and cast to intp on assignment
+    fy *= pw
+    fy += fx
+    fy += PAD * pw + PAD
+    P[:, 0] = fy
+    base = P[:, 0]
+    np.add(base, 1, out=P[:, 1])
+    np.add(base, pw, out=P[:, 2])
+    np.add(base, pw + 1, out=P[:, 3])
+    np.subtract(1.0, dx, out=one_dx)
+    np.subtract(1.0, dy, out=one_dy)
+    np.multiply(one_dx, one_dy, out=W[:, 0])
+    np.multiply(dx, one_dy, out=W[:, 1])
+    np.multiply(one_dx, dy, out=W[:, 2])
+    np.multiply(dx, dy, out=W[:, 3])
+
+
 def _vote_arrays(xs: np.ndarray, ys: np.ndarray, dts: np.ndarray,
                  shape: tuple[int, int]):
     """Vectorized vote stream for a run of warped events.
 
-    Returns (P, W, DWX, DWY), each of shape (n, 4), event-major with the
-    fixed corner order (i,j), (i+1,j), (i,j+1), (i+1,j+1). P indexes the
-    flattened grid padded by PAD pixels per side. The floor coordinates are
-    clamped to [-PAD, w] x [-PAD, h] first, so a stencil that leaves the grid
-    lands in the padding ring whatever its distance, and the int cast cannot
-    overflow (fmin/fmax also send NaN there). Clamping only moves stencils
-    that are wholly off the grid; the weights come from the unclamped floor.
+    Returns (P, W, DWX, DWY), each of shape (n, 4): the ``_stencil`` of the
+    run, and the velocity derivatives of its weights in the same layout.
     """
-    w_dim, h_dim = shape
-    pw = w_dim + 2 * PAD
-    fx = np.floor(xs)
-    fy = np.floor(ys)
-    dx = xs - fx
-    dy = ys - fy
-    one_dx = 1.0 - dx
-    one_dy = 1.0 - dy
-    ndt = -dts
-    i = np.fmax(np.fmin(fx, w_dim), -PAD).astype(np.intp)
-    j = np.fmax(np.fmin(fy, h_dim), -PAD).astype(np.intp)
-    base = (j + PAD) * pw + (i + PAD)
-
     n = xs.shape[0]
     P = np.empty((n, 4), dtype=np.intp)
     W = np.empty((n, 4))
-    DWX = np.empty((n, 4))
-    DWY = np.empty((n, 4))
-    P[:, 0] = base
-    P[:, 1] = base + 1
-    P[:, 2] = base + pw
-    P[:, 3] = base + (pw + 1)
-    W[:, 0] = one_dx * one_dy
-    W[:, 1] = dx * one_dy
-    W[:, 2] = one_dx * dy
-    W[:, 3] = dx * dy
+    F = np.empty((4, n))
+    _stencil(xs, ys, shape, P, W, F)
+    dx, dy, one_dx, one_dy = F
+    ndt = -dts
     # ndt * (-a) == -(ndt * a) exactly: IEEE rounding is sign-symmetric
-    a = ndt * one_dy
-    b = ndt * dy
-    DWX[:, 0] = -a
-    DWX[:, 1] = a
-    DWX[:, 2] = -b
-    DWX[:, 3] = b
-    a = ndt * one_dx
-    b = ndt * dx
-    DWY[:, 0] = -a
-    DWY[:, 1] = -b
-    DWY[:, 2] = a
-    DWY[:, 3] = b
+    a, b = ndt * one_dy, ndt * dy
+    DWX = np.stack((-a, a, -b, b), axis=1)
+    a, b = ndt * one_dx, ndt * dx
+    DWY = np.stack((-a, -b, a, b), axis=1)
     return P, W, DWX, DWY
 
 
@@ -139,13 +150,18 @@ def _vote_chunks(warped: WarpedBatch, shape: tuple[int, int]):
         yield _vote_arrays(warped.xs[s:e], warped.ys[s:e], warped.dts[s:e], shape)
 
 
+def _check_grid(shape: tuple[int, int]) -> None:
+    w, h = shape
+    if w < 2 or h < 2:
+        raise VotingConfigError(f"grid must be at least 2x2, got {w}x{h}")
+
+
 class NaiveAccumulator:
     """Dense-grid reference accumulator with clear-on-read."""
 
     def __init__(self, shape: tuple[int, int]) -> None:
+        _check_grid(shape)
         w, h = shape
-        if w < 2 or h < 2:
-            raise VotingConfigError(f"grid must be at least 2x2, got {w}x{h}")
         self.shape = shape
         # iwe, d_vx, d_vy; each row is one flattened padded grid
         self._grids = np.zeros((3, (h + 2 * PAD) * (w + 2 * PAD)))
@@ -164,6 +180,41 @@ class NaiveAccumulator:
         iwe, dvx, dvy = padded[:, PAD:-PAD, PAD:-PAD].copy()
         self._grids.fill(0.0)
         return ImageSet(iwe=iwe, d_vx=dvx, d_vy=dvy, in_bounds_mass=float(iwe.sum()))
+
+
+class IweScatter:
+    """The estimator's voting: the IWE alone, scattered by one ``bincount``
+    per call, with the stencil kept for ``objective.evaluate`` to gather the
+    gradient from.
+
+    The (n, 4) stencil and gather buffers of a batch of ``n_events`` events
+    are allocated once, here, and reused by every ascent iteration. After
+    ``scatter``, ``iwe`` is the (h, w) image of warped events and
+    ``in_bounds_mass`` its sum; the next ``scatter`` makes a new ``iwe``.
+    """
+
+    def __init__(self, n_events: int, shape: tuple[int, int]) -> None:
+        _check_grid(shape)
+        w, h = shape
+        self.shape = shape
+        self.index = np.empty((n_events, 4), dtype=np.intp)
+        self.weight = np.empty((n_events, 4))
+        self.corners = np.empty((n_events, 4))  # gather target
+        self.frac = np.empty((4, n_events))  # dx, dy, 1 - dx, 1 - dy
+        # the centred IWE on the padded grid; the ring stays 0, so corners
+        # that left the grid gather nothing
+        self.centred = np.zeros((h + 2 * PAD, w + 2 * PAD))
+        self.centred_interior = self.centred[PAD:-PAD, PAD:-PAD]
+
+    def scatter(self, warped: WarpedBatch) -> None:
+        self.dts = warped.dts
+        _stencil(warped.xs, warped.ys, self.shape, self.index, self.weight, self.frac)
+        # bincount adds in input order: every pixel is the same sequential
+        # (event, corner)-order sum as in the accumulators
+        padded = np.bincount(self.index.ravel(), self.weight.ravel(),
+                             minlength=self.centred.size)
+        self.iwe = padded.reshape(self.centred.shape)[PAD:-PAD, PAD:-PAD].copy()
+        self.in_bounds_mass = float(self.iwe.sum())
 
 
 class _Bank:
@@ -227,8 +278,7 @@ class BankedAccumulator:
             raise VotingConfigError(
                 f"banked accumulator needs even grid dimensions, got {w}x{h}"
             )
-        if w < 2 or h < 2:
-            raise VotingConfigError(f"grid must be at least 2x2, got {w}x{h}")
+        _check_grid(shape)
         self.shape = shape
         n_words = (w // 2) * (h // 2)
         self._banks = {

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from evcm.events import EventArray, EventBatch, make_batch, parse_events
-from evcm.voting import ImageSet, NaiveAccumulator
+from evcm.voting import ImageSet, IweScatter, NaiveAccumulator
 from evcm.warp import WarpedBatch
 
 
@@ -67,6 +67,14 @@ def accumulate_images(
     acc = cls(shape, **kwargs)
     acc.accumulate(warped)
     return acc.read_and_clear()
+
+
+def scatter_iwe(warped: WarpedBatch, shape) -> IweScatter:
+    """The estimator's one-image scatter of one warped batch, ready for
+    ``objective.evaluate``."""
+    grid = IweScatter(len(warped), shape)
+    grid.scatter(warped)
+    return grid
 
 
 @pytest.fixture

@@ -22,7 +22,8 @@ from evcm.tracker import TrackerConfig, track
 from evcm.voting import BankedAccumulator, _vote_arrays
 from evcm.warp import Velocity, WarpedBatch, warp_batch
 
-from conftest import accumulate_images, batch_from_arrays, random_interior_batch
+from conftest import accumulate_images, batch_from_arrays, random_interior_batch, scatter_iwe
+from oracles import contrast_gradient_scalar
 from test_objective import fd_gradient, probe_is_smooth
 
 # ---------------------------------------------------------------------------
@@ -119,6 +120,7 @@ def test_criterion_3_gradient_matches_finite_differences():
     shape = (64, 64)
     checked = 0
     worst = 0.0
+    worst_oracle = 0.0
     while checked < 100:
         n = int(rng.integers(50, 501))
         batch = random_interior_batch(rng, n)
@@ -128,15 +130,21 @@ def test_criterion_3_gradient_matches_finite_differences():
         # step of) an integer grid line
         if not probe_is_smooth(batch, v, shape):
             continue
-        _, g_vx, g_vy = evaluate(accumulate_images(warp_batch(batch, v), shape))
+        warped = warp_batch(batch, v)
+        _, g_vx, g_vy = evaluate(scatter_iwe(warped, shape))
         fx, fy = fd_gradient(batch, v, shape)
-        for a, f in ((g_vx, fx), (g_vy, fy)):
+        _, ox, oy = contrast_gradient_scalar(accumulate_images(warped, shape))
+        for a, f, o in ((g_vx, fx, ox), (g_vy, fy, oy)):
             rel = abs(a - f) / (abs(a) + 1e-9)
             worst = max(worst, rel)
             assert abs(a - f) <= 1e-3 * (abs(a) + 1e-9)
+            # the gather against the three-image gradient
+            worst_oracle = max(worst_oracle, abs(a - o) / abs(o))
+            assert abs(a - o) <= 1e-12 * abs(o)
         checked += 1
     print(f"\nPASS criterion 3: {checked} batches, "
-          f"worst relative gradient error {worst:.2e} (tolerance 1e-3)")
+          f"worst relative gradient error {worst:.2e} (tolerance 1e-3), "
+          f"{worst_oracle:.2e} against the three-image gradient (tolerance 1e-12)")
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +181,7 @@ def test_criterion_4_banked_accumulator_equivalence():
         assert np.array_equal(out.iwe, ref.iwe)
         assert np.array_equal(out.d_vx, ref.d_vx)
         assert np.array_equal(out.d_vy, ref.d_vy)
+        assert np.array_equal(scatter_iwe(warped, shape).iwe, ref.iwe)  # the estimator's
         if adversarial and not hazard_demonstrated:
             broken = accumulate_images(warped, shape, BankedAccumulator, forwarding=False)
             if not np.array_equal(broken.iwe, ref.iwe):
@@ -180,8 +189,8 @@ def test_criterion_4_banked_accumulator_equivalence():
     # without forwarding, back-to-back updates to one address read stale
     # values and lose votes — the hazard the forwarding buffer exists for
     assert hazard_demonstrated
-    print(f"\nPASS criterion 4: {n_streams} streams bit-identical "
-          f"(half adversarial); forwarding-disabled variant fails as required")
+    print(f"\nPASS criterion 4: {n_streams} streams bit-identical, the "
+          f"estimator's IWE included (half adversarial); forwarding-disabled variant fails as required")
 
 
 # ---------------------------------------------------------------------------

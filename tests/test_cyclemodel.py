@@ -111,4 +111,4 @@ class TestModelTiesToImplementation:
         p = CycleParams(N=len(batch), T=t_iters, n=len(batch), P=64 * 64)
         # each ascent step votes every ROI event and reads back every address
         assert len(trace) * len(batch) == p.T * p.n
-        assert len(trace) * trace.final_images.iwe.size == p.T * (p.P // 4) * 4
+        assert len(trace) * trace.final_iwe.size == p.T * (p.P // 4) * 4

@@ -6,22 +6,19 @@ import numpy as np
 import pytest
 
 from evcm.objective import contrast, evaluate
-from evcm.voting import ImageSet
-from evcm.warp import Velocity, warp_batch
+from evcm.warp import Velocity, WarpedBatch, warp_batch
 
-from conftest import accumulate_images, random_interior_batch
+from conftest import accumulate_images, random_interior_batch, scatter_iwe
 from oracles import contrast_gradient_scalar
 
 
-def imageset(iwe, d_vx=None, d_vy=None) -> ImageSet:
-    iwe = np.asarray(iwe, dtype=np.float64)
-    z = np.zeros_like(iwe)
-    return ImageSet(
-        iwe=iwe,
-        d_vx=z if d_vx is None else np.asarray(d_vx, dtype=np.float64),
-        d_vy=z if d_vy is None else np.asarray(d_vy, dtype=np.float64),
-        in_bounds_mass=float(iwe.sum()),
-    )
+def warped_on_pixels(rng, grid):
+    """One event on every pixel of ``grid``, at whole-pixel coordinates and
+    random normalized times."""
+    w, h = grid
+    jj, ii = np.mgrid[0:h, 0:w]
+    return WarpedBatch(ii.ravel().astype(float), jj.ravel().astype(float),
+                       rng.uniform(-1, 1, w * h))
 
 
 class TestContrast:
@@ -59,48 +56,56 @@ class TestContrast:
 
 class TestAnalyticGradient:
     def test_zero_derivative_images(self, rng):
-        imgs = imageset(rng.uniform(0, 3, (8, 8)))
-        _, g_vx, g_vy = evaluate(imgs)
+        # events at the reference time do not move with v: both derivative
+        # images are 0, and so is the gathered gradient
+        warped = WarpedBatch(rng.uniform(0, 7, 50), rng.uniform(0, 7, 50), np.zeros(50))
+        imgs = accumulate_images(warped, (8, 8))
+        assert not imgs.d_vx.any() and not imgs.d_vy.any()
+        _, g_vx, g_vy = evaluate(scatter_iwe(warped, (8, 8)))
         assert g_vx == 0.0 and g_vy == 0.0
 
     def test_constant_iwe_gives_zero(self, rng):
-        imgs = imageset(
-            np.full((8, 8), 2.0), rng.uniform(-1, 1, (8, 8)), rng.uniform(-1, 1, (8, 8))
-        )
-        _, g_vx, g_vy = evaluate(imgs)
-        assert g_vx == pytest.approx(0.0, abs=1e-12)
-        assert g_vy == pytest.approx(0.0, abs=1e-12)
+        warped = warped_on_pixels(rng, (8, 8))
+        grid = scatter_iwe(warped, (8, 8))
+        assert np.array_equal(grid.iwe, np.ones((8, 8)))
+        assert accumulate_images(warped, (8, 8)).d_vx.any()
+        c, g_vx, g_vy = evaluate(grid)
+        assert c == 0.0 and g_vx == 0.0 and g_vy == 0.0
 
     def test_scaling_bilinearity(self, rng):
-        iwe = rng.uniform(0, 3, (8, 8))
-        dvx = rng.uniform(-1, 1, (8, 8))
-        dvy = rng.uniform(-1, 1, (8, 8))
-        _, gx1, gy1 = evaluate(imageset(iwe, dvx, dvy))
-        _, gx2, gy2 = evaluate(imageset(3 * iwe, 3 * dvx, 3 * dvy))
-        assert gx2 == pytest.approx(9 * gx1, rel=1e-12)
-        assert gy2 == pytest.approx(9 * gy1, rel=1e-12)
+        # every event three times over: the IWE and both derivative images
+        # triple, so contrast and gradient grow ninefold
+        batch = random_interior_batch(rng, 300)
+        warped = warp_batch(batch, Velocity(0.7, -1.1))
+        tripled = WarpedBatch(*(np.repeat(a, 3) for a in (warped.xs, warped.ys, warped.dts)))
+        c1, gx1, gy1 = evaluate(scatter_iwe(warped, (64, 64)))
+        c3, gx3, gy3 = evaluate(scatter_iwe(tripled, (64, 64)))
+        assert c3 == pytest.approx(9 * c1, rel=1e-12)
+        assert gx3 == pytest.approx(9 * gx1, rel=1e-12)
+        assert gy3 == pytest.approx(9 * gy1, rel=1e-12)
 
     def test_evaluate_bundles_contrast_and_gradient(self, rng):
-        imgs = imageset(
-            rng.uniform(0, 3, (8, 8)), rng.uniform(-1, 1, (8, 8)), rng.uniform(-1, 1, (8, 8))
-        )
-        c, g_vx, g_vy = evaluate(imgs)
-        assert c == contrast(imgs.iwe)[0]  # the bare-grid variance, bit for bit
+        warped = warp_batch(random_interior_batch(rng, 200), Velocity(-0.4, 0.9))
+        grid = scatter_iwe(warped, (64, 64))
+        c, g_vx, g_vy = evaluate(grid)
+        ref = accumulate_images(warped, (64, 64))
+        assert np.array_equal(grid.iwe, ref.iwe)
+        assert grid.in_bounds_mass == ref.in_bounds_mass
+        assert c == contrast(ref.iwe)[0]  # the bare-grid variance, bit for bit
         assert math.isfinite(g_vx) and math.isfinite(g_vy)
 
     def test_matches_two_pass_oracle(self, rng):
-        # accumulated images of random batches at random velocities, and
-        # unstructured random grids
-        for k in range(40):
-            if k % 2:
-                iwe, dvx, dvy = (rng.uniform(lo, 3, (64, 64)) for lo in (0, -1, -1))
-                imgs = imageset(iwe, dvx, dvy)
-            else:
-                batch = random_interior_batch(rng, int(rng.integers(50, 2001)))
-                v = Velocity(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
-                imgs = accumulate_images(warp_batch(batch, v), (64, 64))
-            assert evaluate(imgs) == pytest.approx(
-                contrast_gradient_scalar(imgs), rel=1e-12, abs=0.0
+        # the gather against the three-image gradient of the naive
+        # accumulator's images, for random batches at random velocities,
+        # stencils off the grid included
+        for _ in range(40):
+            n = int(rng.integers(50, 2001))
+            batch = random_interior_batch(rng, n, margin=int(rng.integers(0, 9)))
+            v = Velocity(float(rng.uniform(-6, 6)), float(rng.uniform(-6, 6)))
+            warped = warp_batch(batch, v)
+            assert evaluate(scatter_iwe(warped, (64, 64))) == pytest.approx(
+                contrast_gradient_scalar(accumulate_images(warped, (64, 64))),
+                rel=1e-12, abs=0.0,
             )
 
 
@@ -148,8 +153,7 @@ class TestFiniteDifferenceAgreement:
             v = Velocity(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
             if not probe_is_smooth(batch, v, shape):
                 continue
-            imgs = accumulate_images(warp_batch(batch, v), shape)
-            _, g_vx, g_vy = evaluate(imgs)
+            _, g_vx, g_vy = evaluate(scatter_iwe(warp_batch(batch, v), shape))
             fx, fy = fd_gradient(batch, v, shape)
             assert abs(g_vx - fx) <= 1e-3 * (abs(g_vx) + 1e-9)
             assert abs(g_vy - fy) <= 1e-3 * (abs(g_vy) + 1e-9)

@@ -1,12 +1,13 @@
 """Gradient-ascent motion estimation."""
 
 import math
+import resource
 
 import numpy as np
 import pytest
 
 from evcm.events import make_batch
-from evcm.objective import evaluate
+from evcm.objective import contrast, evaluate
 from evcm.optimizer import (
     LEARNING_RATE_SCALE,
     OptimizationError,
@@ -18,7 +19,8 @@ from evcm.synth import SceneConfig, generate_scene
 from evcm.voting import BankedAccumulator
 from evcm.warp import Velocity, warp_batch
 
-from conftest import accumulate_images, random_interior_batch
+from conftest import accumulate_images, random_interior_batch, scatter_iwe
+from oracles import contrast_gradient_scalar
 
 
 def small_scene_batch(velocity=(2.0, -1.5), seed=3, n=800):
@@ -75,6 +77,14 @@ class TestEstimateMotion:
                 batch, OptimizerConfig(iterations=1, learning_rate=1e9), shape=(64, 64)
             )
 
+    def test_overflowing_step_raises(self):
+        # a finite step too large for a float names the iteration it left
+        batch = small_scene_batch(n=5000)
+        with pytest.raises(OptimizationError, match="overflowed at iteration 0"):
+            estimate_motion(
+                batch, OptimizerConfig(iterations=2, learning_rate=1e308), shape=(64, 64)
+            )
+
     def test_warm_start_off_the_grid_raises(self):
         batch = small_scene_batch()
         cfg = OptimizerConfig(iterations=3, v_init=Velocity(1e6, 0.0))
@@ -84,8 +94,7 @@ class TestEstimateMotion:
     def test_single_step_contract(self, rng):
         batch = random_interior_batch(rng, 120)
         v0 = Velocity(0.25, -0.5)
-        imgs = accumulate_images(warp_batch(batch, v0), (64, 64))
-        _, g_vx, g_vy = evaluate(imgs)
+        _, g_vx, g_vy = evaluate(scatter_iwe(warp_batch(batch, v0), (64, 64)))
         v, trace = estimate_motion(
             batch,
             OptimizerConfig(iterations=1, learning_rate=0.01, v_init=v0),
@@ -140,7 +149,8 @@ class TestEstimateMotion:
 
     def test_banked_replay_of_every_iteration_matches_record(self, rng):
         # the banked datapath, fed the batch warped at each visited velocity,
-        # gives the contrast and gradient the ascent recorded, bit for bit
+        # gives the contrast the ascent recorded bit for bit, and its three
+        # images the recorded gradient to rounding
         batch = random_interior_batch(rng, 60, grid=(16, 16), margin=3)
         _, trace = estimate_motion(
             batch, OptimizerConfig(iterations=15, learning_rate=0.05), shape=(16, 16)
@@ -149,7 +159,11 @@ class TestEstimateMotion:
         acc = BankedAccumulator((16, 16))
         for r in trace.records:
             acc.accumulate(warp_batch(batch, r.v))
-            assert evaluate(acc.read_and_clear()) == (r.contrast, r.grad_vx, r.grad_vy)
+            imgs = acc.read_and_clear()
+            assert contrast(imgs.iwe)[0] == r.contrast
+            _, g_vx, g_vy = contrast_gradient_scalar(imgs)
+            assert abs(r.grad_vx - g_vx) <= 1e-12 * abs(g_vx)
+            assert abs(r.grad_vy - g_vy) <= 1e-12 * abs(g_vy)
 
     def test_determinism(self, rng):
         batch = random_interior_batch(rng, 200)
@@ -171,7 +185,8 @@ class TestEstimateMotion:
 
 class TestFinalImageSet:
     def test_matches_pipeline(self, rng):
-        # the trace's final images and contrast belong to the returned velocity
+        # the trace's final IWE and contrast belong to the returned velocity,
+        # bit for bit as either accumulator reads them out
         batch = random_interior_batch(rng, 80)
         v, trace = estimate_motion(
             batch,
@@ -179,7 +194,27 @@ class TestFinalImageSet:
             shape=(64, 64),
         )
         ref = accumulate_images(warp_batch(batch, v), (64, 64))
-        for name in ("iwe", "d_vx", "d_vy"):
-            assert np.array_equal(getattr(trace.final_images, name), getattr(ref, name))
-        assert trace.final_contrast == evaluate(ref)[0]
+        banked = accumulate_images(warp_batch(batch, v), (64, 64), BankedAccumulator)
+        assert np.array_equal(trace.final_iwe, ref.iwe)
+        assert np.array_equal(trace.final_iwe, banked.iwe)
+        assert trace.final_contrast == contrast(ref.iwe)[0]
         assert v != trace.records[-1].v
+
+
+def minor_faults(batch, iterations):
+    """Minor page faults of one ``estimate_motion`` call."""
+    cfg = OptimizerConfig(iterations=iterations)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    estimate_motion(batch, cfg, shape=(64, 64))
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+@pytest.mark.parametrize("n", [820, 9500])
+def test_ascent_steps_do_not_page_fault(rng, n):
+    # a call first-touches its batch-sized buffers once (a few hundred
+    # faults, cancelled by the T = 1 call); batch-sized temporaries made on
+    # every step would be handed back to the OS and faulted in again
+    batch = random_interior_batch(rng, n)
+    minor_faults(batch, 100)  # warm-up
+    per_step = (minor_faults(batch, 100) - minor_faults(batch, 1)) / 99
+    assert per_step < 1.0

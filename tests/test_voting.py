@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from evcm.voting import (
     CHUNK_EVENTS,
     BankedAccumulator,
+    IweScatter,
     NaiveAccumulator,
     VotingConfigError,
     write_pgm,
 )
 from evcm.warp import WarpedBatch
 
-from conftest import accumulate_images
+from conftest import accumulate_images, scatter_iwe
 from oracles import WarpedEvent, bilinear_votes, warped_events
 
 
@@ -107,6 +108,8 @@ class TestNaiveAccumulator:
     def test_tiny_grid_rejected(self):
         with pytest.raises(VotingConfigError):
             NaiveAccumulator((1, 8))
+        with pytest.raises(VotingConfigError):
+            IweScatter(10, (8, 1))
 
 
 class TestClearOnRead:
@@ -227,6 +230,7 @@ class TestChunkBoundaries:
         assert_imagesets_identical(banked, naive)
         iwe, dvx, dvy = scalar_oracle(warped, self.GRID)
         assert np.array_equal(naive.iwe, iwe)
+        assert np.array_equal(scatter_iwe(warped, self.GRID).iwe, iwe)
         assert np.array_equal(naive.d_vx, dvx)
         assert np.array_equal(naive.d_vy, dvy)
 
@@ -237,8 +241,10 @@ class TestChunkBoundaries:
         ys = [5.5] * k + bad + bad
         with np.errstate(invalid="ignore"):  # inf - floor(inf) is nan
             imgs = accumulate_images(wbatch(xs, ys, [0.5] * 3 * k), self.GRID)
+            grid = scatter_iwe(wbatch(xs, ys, [0.5] * 3 * k), self.GRID)
         assert not imgs.iwe.any() and not imgs.d_vx.any() and not imgs.d_vy.any()
         assert imgs.in_bounds_mass == 0.0
+        assert not grid.iwe.any() and grid.in_bounds_mass == 0.0
 
     @pytest.mark.parametrize("cls", [NaiveAccumulator, BankedAccumulator])
     def test_split_calls_match_one_call(self, cls, rng):
