@@ -9,12 +9,15 @@ that weight. Three voters share one stencil (``_stencil``):
   the stencil, from which ``objective.evaluate`` gathers the gradient.
 * ``NaiveAccumulator`` sums all three images straight into dense grids; it
   is the reference for the banked one and for the gradient.
-* ``BankedAccumulator`` structurally emulates the hardware datapath:
-  12 memory banks (3 image roles x 4 coordinate-parity banks), each a
-  3-stage read-modify-write pipeline with a 3-entry forwarding buffer
-  resolving same-address hazards, and clear-on-read semantics. It is
-  driven directly, as a model of the datapath; a forwarding-disabled
-  variant exists only to demonstrate the hazard the buffer fixes.
+* ``BankedAccumulator`` models the hardware datapath: 12 memory banks
+  (3 image roles x 4 coordinate-parity banks), each a 3-stage
+  read-modify-write pipeline with a 3-entry forwarding buffer resolving
+  same-address hazards, and clear-on-read semantics. As the buffer covers
+  every update in flight, each bank word is the in-order sum of its
+  updates, so the banks' images are the naive scatter itself; the model
+  adds whole-array hazard analysis of each bank's address stream (issued
+  updates and forwarding hits per bank). It is driven directly, as a model
+  of the datapath, not as an estimator mode.
 
 Temporaries sized by the whole batch run to hundreds of KB; the allocator
 returns such blocks to the OS and page-faults them back in on every ascent
@@ -31,7 +34,6 @@ rounding.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -156,6 +158,23 @@ def _check_grid(shape: tuple[int, int]) -> None:
         raise VotingConfigError(f"grid must be at least 2x2, got {w}x{h}")
 
 
+def _scatter(grids: np.ndarray, P, W, DWX, DWY) -> None:
+    """Add one chunk's ``_vote_arrays`` to the three flattened padded grids
+    (iwe, d_vx, d_vy), each contribution in (event, corner) order."""
+    flat = P.ravel()
+    for grid, values in zip(grids, (W, DWX, DWY)):
+        np.add.at(grid, flat, values.ravel())
+
+
+def _read_and_clear(grids: np.ndarray, shape: tuple[int, int]) -> ImageSet:
+    """The three padded grids cut to (h, w), then zeroed (clear-on-read)."""
+    w_dim, h_dim = shape
+    padded = grids.reshape(3, h_dim + 2 * PAD, w_dim + 2 * PAD)
+    iwe, dvx, dvy = padded[:, PAD:-PAD, PAD:-PAD].copy()
+    grids.fill(0.0)
+    return ImageSet(iwe=iwe, d_vx=dvx, d_vy=dvy, in_bounds_mass=float(iwe.sum()))
+
+
 class NaiveAccumulator:
     """Dense-grid reference accumulator with clear-on-read."""
 
@@ -167,19 +186,11 @@ class NaiveAccumulator:
         self._grids = np.zeros((3, (h + 2 * PAD) * (w + 2 * PAD)))
 
     def accumulate(self, warped: WarpedBatch) -> None:
-        iwe, dvx, dvy = self._grids
-        for P, W, DWX, DWY in _vote_chunks(warped, self.shape):
-            flat = P.ravel()
-            np.add.at(iwe, flat, W.ravel())
-            np.add.at(dvx, flat, DWX.ravel())
-            np.add.at(dvy, flat, DWY.ravel())
+        for chunk in _vote_chunks(warped, self.shape):
+            _scatter(self._grids, *chunk)
 
     def read_and_clear(self) -> ImageSet:
-        w_dim, h_dim = self.shape
-        padded = self._grids.reshape(3, h_dim + 2 * PAD, w_dim + 2 * PAD)
-        iwe, dvx, dvy = padded[:, PAD:-PAD, PAD:-PAD].copy()
-        self._grids.fill(0.0)
-        return ImageSet(iwe=iwe, d_vx=dvx, d_vy=dvy, in_bounds_mass=float(iwe.sum()))
+        return _read_and_clear(self._grids, self.shape)
 
 
 class IweScatter:
@@ -217,62 +228,33 @@ class IweScatter:
         self.in_bounds_mass = float(self.iwe.sum())
 
 
-class _Bank:
-    """One memory bank with a simulated 3-stage read-modify-write pipeline.
-
-    Updates spend PIPELINE_DEPTH cycles in flight before the write-back
-    lands. With forwarding enabled, an incoming address matching an
-    in-flight entry reads the in-flight value instead of the stale memory
-    word; disabling forwarding reproduces the lost-update hazard.
-    """
-
-    __slots__ = ("mem", "inflight", "forwarding", "writes")
-
-    def __init__(self, n_words: int, forwarding: bool = True) -> None:
-        self.mem = [0.0] * n_words
-        self.inflight: deque[tuple[int, float]] = deque()
-        self.forwarding = forwarding
-        self.writes = 0
-
-    def add(self, addr: int, value: float) -> None:
-        base = None
-        if self.forwarding:
-            for a, v in reversed(self.inflight):
-                if a == addr:
-                    base = v
-                    break
-        if base is None:
-            base = self.mem[addr]          # stage 1: memory read
-        acc = base + value                 # stage 2: add
-        self.inflight.append((addr, acc))  # stage 3 pending: write-back
-        self.writes += 1
-        if len(self.inflight) > PIPELINE_DEPTH:
-            a, v = self.inflight.popleft()
-            self.mem[a] = v
-
-    def flush(self) -> None:
-        while self.inflight:
-            a, v = self.inflight.popleft()
-            self.mem[a] = v
-
-    def clear(self) -> None:
-        self.mem = [0.0] * len(self.mem)
-        self.inflight.clear()
+def _per_bank(counts: np.ndarray, role: str) -> tuple[int, int, int, int]:
+    k = 4 * ROLES.index(role)
+    return tuple(counts[k:k + 4].tolist())  # type: ignore[return-value]
 
 
 class BankedAccumulator:
-    """Structural emulation of the banked accumulation datapath.
+    """The banked accumulation datapath: 3 image roles x 4 parity banks.
 
-    3 image roles x 4 parity banks = 12 bank instances. A bilinear stencil's
-    four pixels always have distinct coordinate parities, so one event's
-    contributions land in four different banks and could be written in a
-    single hardware cycle. Zero-valued contributions are not issued.
+    Pixel (i, j) lives in bank ``(i & 1) + 2 * (j & 1)`` at word
+    ``(j >> 1) * (w // 2) + (i >> 1)``, so one event's four stencil pixels sit
+    in four different banks and could be written in one hardware cycle.
+    Each bank is a read-modify-write pipeline with PIPELINE_DEPTH updates in
+    flight and a forwarding buffer over exactly those updates, so every bank
+    word ends up as the in-order sum of its updates: the images are the
+    naive accumulator's scatter, bit for bit. What the banks add is the
+    update stream's hazard analysis. Only in-grid, non-zero contributions
+    are issued; ``bank_occupancy`` counts them per bank and
+    ``forwarding_hits`` counts those whose word matches an update still in
+    flight in the same bank, the updates that would read a stale word
+    without the buffer. The in-flight window spans ``accumulate`` calls.
 
-    ``read_and_clear`` models the clear-on-read BRAM scheme: it returns the
-    accumulated grids and leaves every bank zeroed for the next iteration.
+    ``read_and_clear`` models the clear-on-read BRAM scheme: it flushes the
+    pipelines, returns the accumulated grids and leaves every bank zeroed.
+    The two counters run on across readouts, over the accumulator's life.
     """
 
-    def __init__(self, shape: tuple[int, int], forwarding: bool = True) -> None:
+    def __init__(self, shape: tuple[int, int]) -> None:
         w, h = shape
         if w % 2 != 0 or h % 2 != 0:
             raise VotingConfigError(
@@ -280,60 +262,60 @@ class BankedAccumulator:
             )
         _check_grid(shape)
         self.shape = shape
-        n_words = (w // 2) * (h // 2)
-        self._banks = {
-            role: [_Bank(n_words, forwarding) for _ in range(4)] for role in ROLES
-        }
+        self._grids = np.zeros((3, (h + 2 * PAD) * (w + 2 * PAD)))
+        self._n_words = (w // 2) * (h // 2)
+        # per bank key role * 4 + parity bank, over the accumulator's life
+        self._occupancy = np.zeros(4 * len(ROLES), dtype=np.int64)
+        self._hits = np.zeros(4 * len(ROLES), dtype=np.int64)
+        # tags (bank key * n_words + word) of the updates still in flight:
+        # the last PIPELINE_DEPTH of each bank, in issue order
+        self._inflight = np.empty(0, dtype=np.intp)
 
     def accumulate(self, warped: WarpedBatch) -> None:
+        for chunk in _vote_chunks(warped, self.shape):
+            _scatter(self._grids, *chunk)
+            self._issue(*chunk)
+
+    def _issue(self, P, W, DWX, DWY) -> None:
+        """Hazard analysis of one chunk's in-grid, non-zero updates."""
         w_dim, h_dim = self.shape
-        half_w = w_dim // 2
-        iwe_banks = self._banks["iwe"]
-        dvx_banks = self._banks["d_vx"]
-        dvy_banks = self._banks["d_vy"]
-        for P, W, DWX, DWY in _vote_chunks(warped, self.shape):
-            J, I = np.divmod(P.ravel(), w_dim + 2 * PAD)
-            for i, j, w, dwx, dwy in zip(
-                (I - PAD).tolist(), (J - PAD).tolist(),
-                W.ravel().tolist(), DWX.ravel().tolist(), DWY.ravel().tolist(),
-            ):
-                if not (0 <= i < w_dim and 0 <= j < h_dim):
-                    continue
-                bank_idx = (i & 1) + 2 * (j & 1)
-                addr = (j >> 1) * half_w + (i >> 1)
-                if w != 0.0:
-                    iwe_banks[bank_idx].add(addr, w)
-                if dwx != 0.0:
-                    dvx_banks[bank_idx].add(addr, dwx)
-                if dwy != 0.0:
-                    dvy_banks[bank_idx].add(addr, dwy)
+        j, i = np.divmod(P.ravel(), w_dim + 2 * PAD)
+        i -= PAD
+        j -= PAD
+        issued = np.stack((W.ravel(), DWX.ravel(), DWY.ravel())) != 0.0
+        issued &= (0 <= i) & (i < w_dim) & (0 <= j) & (j < h_dim)
+        # the (role, event, corner) order of the selection is each bank's
+        # issue order
+        key = 4 * np.arange(len(ROLES))[:, None] + (i & 1) + 2 * (j & 1)
+        word = (j >> 1) * (w_dim // 2) + (i >> 1)
+        carried = self._inflight.size
+        tags = np.concatenate((self._inflight, (key * self._n_words + word)[issued]))
+        # int8 keys sort stably by radix; the sort lines up each bank's
+        # stream, carried updates first, in issue order
+        keys = (tags // self._n_words).astype(np.int8)
+        order = np.argsort(keys, kind="stable")
+        tags, keys = tags[order], keys[order]
+        fresh = order >= carried
+        # a tag holds bank and word, so it matches one of the previous
+        # PIPELINE_DEPTH tags only within its own bank's stream
+        hit = np.zeros(tags.size, dtype=bool)
+        for d in range(1, PIPELINE_DEPTH + 1):
+            hit[d:] |= tags[d:] == tags[:-d]
+        self._occupancy += np.bincount(keys[fresh], minlength=self._occupancy.size)
+        self._hits += np.bincount(keys[hit & fresh], minlength=self._hits.size)
+        last = np.ones(tags.size, dtype=bool)
+        last[:-PIPELINE_DEPTH] = keys[PIPELINE_DEPTH:] != keys[:-PIPELINE_DEPTH]
+        self._inflight = tags[last]
 
     def bank_occupancy(self, role: str = "iwe") -> tuple[int, int, int, int]:
         """Non-zero updates issued per parity bank for one image role."""
-        return tuple(b.writes for b in self._banks[role])  # type: ignore[return-value]
+        return _per_bank(self._occupancy, role)
 
-    def _assemble(self, role: str) -> np.ndarray:
-        w_dim, h_dim = self.shape
-        grid = np.empty((h_dim, w_dim), dtype=np.float64)
-        banks = self._banks[role]
-        # bank index = (i & 1) + 2 * (j & 1)
-        for k, bank in enumerate(banks):
-            grid[k >> 1::2, k & 1::2] = np.reshape(bank.mem, (h_dim // 2, w_dim // 2))
-        return grid
+    def forwarding_hits(self, role: str = "iwe") -> tuple[int, int, int, int]:
+        """Updates per parity bank for one image role that read their word
+        from the forwarding buffer, as it was still in flight."""
+        return _per_bank(self._hits, role)
 
     def read_and_clear(self) -> ImageSet:
-        for banks in self._banks.values():
-            for b in banks:
-                b.flush()
-        iwe = self._assemble("iwe")
-        imgs = ImageSet(
-            iwe=iwe,
-            d_vx=self._assemble("d_vx"),
-            d_vy=self._assemble("d_vy"),
-            in_bounds_mass=float(iwe.sum()),
-        )
-        for banks in self._banks.values():
-            for b in banks:
-                b.clear()
-        return imgs
-
+        self._inflight = self._inflight[:0]  # the pipelines drain
+        return _read_and_clear(self._grids, self.shape)

@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import os
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from evcm.events import EventArray, EventBatch, make_batch, parse_events
 from evcm.voting import ImageSet, IweScatter, NaiveAccumulator
 from evcm.warp import WarpedBatch
+
+# On CI every hypothesis test draws the same examples on every run, with no
+# per-example deadline on shared runners; each test keeps its max_examples.
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def event_array(ts, xs, ys, ps=None) -> EventArray:

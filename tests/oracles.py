@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
+
 from evcm.events import EventParseError, EventValidationError
+from evcm.voting import PAD, PIPELINE_DEPTH, ROLES, ImageSet, _vote_chunks
 from evcm.warp import Velocity
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -136,3 +140,107 @@ def contrast_gradient_scalar(imgs) -> tuple[float, float, float]:
         d_mu = math.fsum(d) / n_p
         out.append(2.0 / n_p * math.fsum(c * (v - d_mu) for c, v in zip(centred, d)))
     return out[0], out[1], out[2]
+
+
+class DatapathBank:
+    """One memory bank with a simulated 3-stage read-modify-write pipeline.
+
+    Updates spend PIPELINE_DEPTH cycles in flight before the write-back
+    lands. ``hits`` counts the updates whose address matches an in-flight
+    entry. With forwarding enabled such an update reads the in-flight value
+    instead of the stale memory word; disabling forwarding reproduces the
+    lost-update hazard.
+    """
+
+    __slots__ = ("mem", "inflight", "forwarding", "writes", "hits")
+
+    def __init__(self, n_words: int, forwarding: bool = True) -> None:
+        self.mem = [0.0] * n_words
+        self.inflight: deque[tuple[int, float]] = deque()
+        self.forwarding = forwarding
+        self.writes = 0
+        self.hits = 0
+
+    def add(self, addr: int, value: float) -> None:
+        base = None
+        for a, v in reversed(self.inflight):
+            if a == addr:
+                self.hits += 1
+                if self.forwarding:
+                    base = v
+                break
+        if base is None:
+            base = self.mem[addr]          # stage 1: memory read
+        acc = base + value                 # stage 2: add
+        self.inflight.append((addr, acc))  # stage 3 pending: write-back
+        self.writes += 1
+        if len(self.inflight) > PIPELINE_DEPTH:
+            a, v = self.inflight.popleft()
+            self.mem[a] = v
+
+    def flush(self) -> None:
+        while self.inflight:
+            a, v = self.inflight.popleft()
+            self.mem[a] = v
+
+    def clear(self) -> None:
+        self.mem = [0.0] * len(self.mem)
+        self.inflight.clear()
+
+
+class BankedDatapathOracle:
+    """Per-update loop model of ``evcm.BankedAccumulator``: 3 image roles x
+    4 parity banks of ``DatapathBank``, fed every in-grid, non-zero vote of
+    the package's vote stream in (event, corner) order, with the same
+    ``accumulate``, ``read_and_clear``, ``bank_occupancy`` and
+    ``forwarding_hits``."""
+
+    def __init__(self, shape: tuple[int, int], forwarding: bool = True) -> None:
+        w, h = shape
+        self.shape = shape
+        n_words = (w // 2) * (h // 2)
+        self._banks = {
+            role: [DatapathBank(n_words, forwarding) for _ in range(4)] for role in ROLES
+        }
+
+    def accumulate(self, warped) -> None:
+        w_dim, h_dim = self.shape
+        half_w = w_dim // 2
+        role_banks = [self._banks[role] for role in ROLES]
+        for P, W, DWX, DWY in _vote_chunks(warped, self.shape):
+            J, I = np.divmod(P.ravel(), w_dim + 2 * PAD)
+            for i, j, *values in zip(
+                (I - PAD).tolist(), (J - PAD).tolist(),
+                W.ravel().tolist(), DWX.ravel().tolist(), DWY.ravel().tolist(),
+            ):
+                if not (0 <= i < w_dim and 0 <= j < h_dim):
+                    continue
+                bank_idx = (i & 1) + 2 * (j & 1)
+                addr = (j >> 1) * half_w + (i >> 1)
+                for banks, value in zip(role_banks, values):
+                    if value != 0.0:
+                        banks[bank_idx].add(addr, value)
+
+    def bank_occupancy(self, role: str = "iwe") -> tuple[int, ...]:
+        return tuple(b.writes for b in self._banks[role])
+
+    def forwarding_hits(self, role: str = "iwe") -> tuple[int, ...]:
+        return tuple(b.hits for b in self._banks[role])
+
+    def _assemble(self, role: str) -> np.ndarray:
+        w_dim, h_dim = self.shape
+        grid = np.empty((h_dim, w_dim), dtype=np.float64)
+        # bank index = (i & 1) + 2 * (j & 1)
+        for k, bank in enumerate(self._banks[role]):
+            grid[k >> 1::2, k & 1::2] = np.reshape(bank.mem, (h_dim // 2, w_dim // 2))
+        return grid
+
+    def read_and_clear(self) -> ImageSet:
+        for banks in self._banks.values():
+            for b in banks:
+                b.flush()
+        iwe, d_vx, d_vy = (self._assemble(role) for role in ROLES)
+        for banks in self._banks.values():
+            for b in banks:
+                b.clear()
+        return ImageSet(iwe=iwe, d_vx=d_vx, d_vy=d_vy, in_bounds_mass=float(iwe.sum()))

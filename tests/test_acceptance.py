@@ -23,7 +23,7 @@ from evcm.voting import BankedAccumulator, _vote_arrays
 from evcm.warp import Velocity, WarpedBatch, warp_batch
 
 from conftest import accumulate_images, batch_from_arrays, random_interior_batch, scatter_iwe
-from oracles import contrast_gradient_scalar
+from oracles import BankedDatapathOracle, contrast_gradient_scalar
 from test_objective import fd_gradient, probe_is_smooth
 
 # ---------------------------------------------------------------------------
@@ -183,14 +183,14 @@ def test_criterion_4_banked_accumulator_equivalence():
         assert np.array_equal(out.d_vy, ref.d_vy)
         assert np.array_equal(scatter_iwe(warped, shape).iwe, ref.iwe)  # the estimator's
         if adversarial and not hazard_demonstrated:
-            broken = accumulate_images(warped, shape, BankedAccumulator, forwarding=False)
+            broken = accumulate_images(warped, shape, BankedDatapathOracle, forwarding=False)
             if not np.array_equal(broken.iwe, ref.iwe):
                 hazard_demonstrated = True
     # without forwarding, back-to-back updates to one address read stale
     # values and lose votes — the hazard the forwarding buffer exists for
     assert hazard_demonstrated
     print(f"\nPASS criterion 4: {n_streams} streams bit-identical, the "
-          f"estimator's IWE included (half adversarial); forwarding-disabled variant fails as required")
+          f"estimator's IWE included (half adversarial); the forwarding-disabled datapath oracle fails as required")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Cycle-count model and timing projections."""
 
+import numpy as np
 import pytest
 
 from evcm.cyclemodel import (
@@ -10,8 +11,13 @@ from evcm.cyclemodel import (
     speedup_report,
 )
 from evcm.optimizer import OptimizerConfig, estimate_motion
+from evcm.voting import PIPELINE_DEPTH, ROLES, BankedAccumulator
+from evcm.warp import Velocity, WarpedBatch, warp_batch
 
 from conftest import random_interior_batch
+from oracles import BankedDatapathOracle
+from test_acceptance import _random_stream
+from test_optimizer import small_scene_batch
 
 
 class TestCyclesPerBatch:
@@ -112,3 +118,51 @@ class TestModelTiesToImplementation:
         # each ascent step votes every ROI event and reads back every address
         assert len(trace) * len(batch) == p.T * p.n
         assert len(trace) * trace.final_iwe.size == p.T * (p.P // 4) * 4
+
+
+def banked_readout(warped, shape):
+    """A fresh banked accumulator after one readout of ``warped``."""
+    acc = BankedAccumulator(shape)
+    acc.accumulate(warped)
+    acc.read_and_clear()
+    return acc
+
+
+class TestBankedIssueRate:
+    """One event's in-grid corners land in distinct parity banks, so no bank
+    takes more than one update per event: voting n events costs n cycles,
+    the n term of ``cycles_per_batch``."""
+
+    def test_criterion_4_streams(self):
+        rng = np.random.default_rng(99)
+        for k in range(1000):
+            warped = _random_stream(rng, adversarial=k % 2 == 0)
+            acc = banked_readout(warped, (16, 16))
+            for role in ROLES:
+                assert max(acc.bank_occupancy(role)) <= len(warped)
+
+    def test_paper_point_batch(self):
+        # 820 events on a 64x64 grid, read out spread (v = 0) and focused
+        batch = small_scene_batch(velocity=(3.0, -2.0), n=820)
+        spread = banked_readout(warp_batch(batch, Velocity(0.0, 0.0)), (64, 64))
+        focused = banked_readout(warp_batch(batch, Velocity(3.0, -2.0)), (64, 64))
+        for acc in (spread, focused):
+            for role in ROLES:
+                assert max(acc.bank_occupancy(role)) <= len(batch)
+        assert sum(focused.forwarding_hits("iwe")) > 0
+
+    @pytest.mark.parametrize("period", [PIPELINE_DEPTH, PIPELINE_DEPTH + 1, 64])
+    def test_hits_only_on_repeats_within_pipeline_depth(self, period):
+        # ``period`` pixel-centre events two pixels apart, cycled three
+        # times: every bank sees each of its words again ``period`` updates
+        # later, which is a hit only while the first is still in flight
+        xs, ys = np.meshgrid(np.arange(0.5, 16, 2.0), np.arange(0.5, 16, 2.0))
+        laps = np.tile(np.arange(period), 3)
+        warped = WarpedBatch(xs.ravel()[laps], ys.ravel()[laps], np.full(laps.size, 0.5))
+        acc = banked_readout(warped, (16, 16))
+        oracle = BankedDatapathOracle((16, 16))
+        oracle.accumulate(warped)
+        hits = 2 * period if period <= PIPELINE_DEPTH else 0
+        for role in ROLES:
+            assert acc.bank_occupancy(role) == (3 * period,) * 4
+            assert acc.forwarding_hits(role) == oracle.forwarding_hits(role) == (hits,) * 4

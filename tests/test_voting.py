@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from evcm.voting import (
     CHUNK_EVENTS,
+    ROLES,
     BankedAccumulator,
     IweScatter,
     NaiveAccumulator,
@@ -18,7 +19,7 @@ from evcm.voting import (
 from evcm.warp import WarpedBatch
 
 from conftest import accumulate_images, scatter_iwe
-from oracles import WarpedEvent, bilinear_votes, warped_events
+from oracles import BankedDatapathOracle, WarpedEvent, bilinear_votes, warped_events
 
 
 def wbatch(xs, ys, dts) -> WarpedBatch:
@@ -155,7 +156,7 @@ class TestBankedEquivalence:
 
     def test_forwarding_disabled_loses_updates(self):
         w = wbatch([4.25] * 3, [4.25] * 3, [0.5] * 3)
-        broken = accumulate_images(w, (8, 8), BankedAccumulator, forwarding=False)
+        broken = accumulate_images(w, (8, 8), BankedDatapathOracle, forwarding=False)
         naive = accumulate_images(w, (8, 8))
         assert not np.array_equal(broken.iwe, naive.iwe)
 
@@ -170,6 +171,21 @@ class TestBankedEquivalence:
         with pytest.raises(VotingConfigError):
             BankedAccumulator((7, 8))
 
+    def test_counters_run_on_across_readouts(self):
+        # the pipelines drain on read, so the second pass's first updates
+        # hit nothing carried over from the first
+        w = wbatch([4.25] * 3, [4.25] * 3, [0.5] * 3)
+        acc = BankedAccumulator((8, 8))
+        acc.accumulate(w)
+        assert acc.bank_occupancy("iwe") == (3, 3, 3, 3)
+        assert acc.forwarding_hits("iwe") == (2, 2, 2, 2)
+        acc.read_and_clear()
+        acc.accumulate(w)
+        acc.read_and_clear()
+        assert acc.bank_occupancy("iwe") == (6, 6, 6, 6)
+        assert acc.forwarding_hits("iwe") == (4, 4, 4, 4)
+        assert acc.bank_occupancy("d_vx") == (6, 6, 6, 6)
+
     def test_randomized_streams_bit_identical(self, rng):
         for trial in range(300):
             concentrated = trial % 2 == 1
@@ -180,6 +196,63 @@ class TestBankedEquivalence:
                 accumulate_images(w, (8, 8), BankedAccumulator),
                 accumulate_images(w, (8, 8)),
             )
+
+
+ORACLE_GRID = (8, 6)
+
+# a coordinate: sub-pixel, whole-pixel (zero-weight corners, never issued),
+# or far off and NaN (nothing issued)
+_coordinate = st.one_of(
+    st.floats(-1.5, 8.5),
+    st.integers(-2, 9).map(float),
+    st.sampled_from([1e6, -1e6, 1e300, -1e300, float("nan")]),
+)
+# an event repeated 1-8 times in a row: the repeats hammer one address
+_run = st.tuples(
+    st.tuples(_coordinate, _coordinate, st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
+    st.integers(1, 8),
+)
+
+
+class TestDatapathOracle:
+    """The whole-array banked model against the per-update loop with
+    forwarding, ``tests/oracles.py::BankedDatapathOracle``."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_images_and_counters_match_per_update_loop(self, data):
+        runs = data.draw(st.lists(_run, max_size=30))
+        events = np.array([e for e, k in runs for _ in range(k)]).reshape(-1, 3)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(events)), max_size=3)))
+        # after each piece: read out (pipelines drained) or carry on
+        reads = data.draw(st.lists(st.booleans(), min_size=len(cuts), max_size=len(cuts)))
+        acc = BankedAccumulator(ORACLE_GRID)
+        oracle = BankedDatapathOracle(ORACLE_GRID)
+        bounds = [0, *cuts, len(events)]
+        for s, e, read in zip(bounds, bounds[1:], [*reads, True]):
+            piece = wbatch(*events[s:e].T)
+            acc.accumulate(piece)
+            oracle.accumulate(piece)
+            if read:
+                assert_imagesets_identical(acc.read_and_clear(), oracle.read_and_clear())
+            for role in ROLES:
+                assert acc.bank_occupancy(role) == oracle.bank_occupancy(role)
+                assert acc.forwarding_hits(role) == oracle.forwarding_hits(role)
+
+    def test_counters_across_chunks_match_per_update_loop(self, rng):
+        # the in-flight window also spans the CHUNK_EVENTS chunks of one
+        # call; about half the events hammer one address, so some hits
+        # reach back across each chunk boundary
+        grid = (16, 12)
+        warped = random_warped(rng, 2 * CHUNK_EVENTS + 300, grid, concentrated=True)
+        acc = BankedAccumulator(grid)
+        oracle = BankedDatapathOracle(grid)
+        acc.accumulate(warped)
+        oracle.accumulate(warped)
+        for role in ROLES:
+            assert acc.bank_occupancy(role) == oracle.bank_occupancy(role)
+            assert acc.forwarding_hits(role) == oracle.forwarding_hits(role)
+        assert sum(acc.forwarding_hits("iwe")) > 0
 
 
 def scalar_oracle(warped: WarpedBatch, shape) -> tuple[np.ndarray, ...]:
