@@ -23,7 +23,6 @@ from .objective import contrast, evaluate
 from .optimizer import (
     OptimizationTrace,
     OptimizerConfig,
-    default_learning_rate,
     estimate_motion,
 )
 from .tracker import BatchRecord, TrackResult, TrackerConfig, track, update_roi

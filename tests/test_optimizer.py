@@ -8,13 +8,7 @@ import pytest
 
 from evcm.events import make_batch
 from evcm.objective import contrast, evaluate
-from evcm.optimizer import (
-    LEARNING_RATE_SCALE,
-    OptimizationError,
-    OptimizerConfig,
-    default_learning_rate,
-    estimate_motion,
-)
+from evcm.optimizer import OptimizationError, OptimizerConfig, estimate_motion
 from evcm.synth import SceneConfig, generate_scene
 from evcm.voting import BankedAccumulator
 from evcm.warp import Velocity, warp_batch
@@ -23,14 +17,18 @@ from conftest import accumulate_images, random_interior_batch, scatter_iwe
 from oracles import contrast_gradient_scalar
 
 
-def small_scene_batch(velocity=(2.0, -1.5), seed=3, n=800):
+def small_scene_batch(velocity=(2.0, -1.5), seed=3, n=800, noise=0.0,
+                      duration_us=20_000):
+    """A 24-px square outline centred on a 64x64 sensor; it stays on the
+    sensor at up to 5 px per half-span on each axis."""
     cfg = SceneConfig(
         scene="square",
         velocity=velocity,
         start=(32.0, 32.0),
         object_size=24,
         events_per_batch=n,
-        noise_fraction=0.0,
+        batch_duration_us=duration_us,
+        noise_fraction=noise,
         seed=seed,
         sensor=(64, 64),
     )
@@ -46,9 +44,6 @@ class TestConfigValidation:
         for bad in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match="learning_rate"):
                 OptimizerConfig(learning_rate=bad)
-
-    def test_default_learning_rate_rule(self):
-        assert default_learning_rate(999) == LEARNING_RATE_SCALE / 1000
 
 
 class TestEstimateMotion:
@@ -77,14 +72,6 @@ class TestEstimateMotion:
                 batch, OptimizerConfig(iterations=1, learning_rate=1e9), shape=(64, 64)
             )
 
-    def test_overflowing_step_raises(self):
-        # a finite step too large for a float names the iteration it left
-        batch = small_scene_batch(n=5000)
-        with pytest.raises(OptimizationError, match="overflowed at iteration 0"):
-            estimate_motion(
-                batch, OptimizerConfig(iterations=2, learning_rate=1e308), shape=(64, 64)
-            )
-
     def test_warm_start_off_the_grid_raises(self):
         batch = small_scene_batch()
         cfg = OptimizerConfig(iterations=3, v_init=Velocity(1e6, 0.0))
@@ -92,16 +79,18 @@ class TestEstimateMotion:
             estimate_motion(batch, cfg, shape=(64, 64))
 
     def test_single_step_contract(self, rng):
+        # the first step moves each axis by learning_rate toward its gradient
         batch = random_interior_batch(rng, 120)
         v0 = Velocity(0.25, -0.5)
         _, g_vx, g_vy = evaluate(scatter_iwe(warp_batch(batch, v0), (64, 64)))
+        assert g_vx != 0.0 and g_vy != 0.0
         v, trace = estimate_motion(
             batch,
             OptimizerConfig(iterations=1, learning_rate=0.01, v_init=v0),
             shape=(64, 64),
         )
-        assert v.vx == v0.vx + 0.01 * g_vx
-        assert v.vy == v0.vy + 0.01 * g_vy
+        assert v.vx == v0.vx + 0.01 * math.copysign(1.0, g_vx)
+        assert v.vy == v0.vy + 0.01 * math.copysign(1.0, g_vy)
         assert len(trace) == 1
         assert trace.records[0].v == v0
 
@@ -117,17 +106,43 @@ class TestEstimateMotion:
         )
         contrasts = [r.contrast for r in trace.records]
         assert all(b >= a - 1e-9 for a, b in zip(contrasts, contrasts[1:]))
-        step_bound = sum(
-            1e-4 * math.hypot(r.grad_vx, r.grad_vy) for r in trace.records
+        # each axis moves by at most its first step on every iteration
+        step_bound = 1e-4 * len(trace)
+        assert abs(v.vx - truth.vx) <= step_bound + 1e-15
+        assert abs(v.vy - truth.vy) <= step_bound + 1e-15
+
+    def test_step_halves_exactly_at_a_sign_flip(self):
+        # from a standing start each axis moves by learning_rate·2^-k toward
+        # its gradient's sign; the step never grows and halves exactly when
+        # the sign flips (30 steps keep every velocity exact in binary)
+        lr = 1.0
+        batch = small_scene_batch(velocity=(2.0, -1.5), n=5000)
+        v, trace = estimate_motion(
+            batch, OptimizerConfig(iterations=30, learning_rate=lr), shape=(64, 64)
         )
-        assert np.hypot(v.vx - truth.vx, v.vy - truth.vy) <= step_bound + 1e-15
+        path = [(r.v.vx, r.v.vy) for r in trace.records] + [(v.vx, v.vy)]
+        for axis in (0, 1):
+            grads = [(r.grad_vx, r.grad_vy)[axis] for r in trace.records]
+            assert all(g != 0.0 for g in grads)
+            moves = [b[axis] - a[axis] for a, b in zip(path, path[1:])]
+            for g, move in zip(grads, moves):
+                assert math.copysign(1.0, move) == math.copysign(1.0, g)
+                assert math.frexp(abs(move) / lr)[0] == 0.5  # a power of two
+            assert abs(moves[0]) == lr
+            flips = 0
+            for k in range(1, len(moves)):
+                if (grads[k] > 0) != (grads[k - 1] > 0):
+                    flips += 1
+                    assert abs(moves[k]) == abs(moves[k - 1]) / 2
+                else:
+                    assert abs(moves[k]) == abs(moves[k - 1])
+            assert flips >= 2
 
     def test_contrast_non_decreasing_with_small_step(self):
         # monotonicity is asserted on this fixture with a deliberately small
-        # step and an init on the slope toward the optimum; the production
-        # default trades strict monotonicity for convergence speed, and an
-        # init at exactly (0, 0) sits on a shallow local peak where any step
-        # oscillates at the 1e-3 level
+        # step and an init on the slope toward the optimum, where 50 steps of
+        # 0.01 never overshoot; the default first step of 1 overshoots and
+        # then halves, so its contrast is monotone only up to the first flip
         batch = small_scene_batch(velocity=(2.0, -1.5), n=5000)
         _, trace = estimate_motion(
             batch,
@@ -179,8 +194,10 @@ class TestEstimateMotion:
         )
         lines = trace.to_csv().splitlines()
         assert lines[0] == "iteration,vx,vy,contrast,grad_vx,grad_vy"
-        row = lines[2].split(",")
-        assert float(row[3]) == trace.records[1].contrast  # repr round-trips
+        # repr round-trips; a numpy scalar would write "np.float64(…)"
+        for line, r in zip(lines[1:], trace.records):
+            _, vx, vy, c = line.split(",")[:4]
+            assert (float(vx), float(vy), float(c)) == (r.v.vx, r.v.vy, r.contrast)
 
 
 class TestFinalImageSet:
@@ -218,3 +235,53 @@ def test_ascent_steps_do_not_page_fault(rng, n):
     minor_faults(batch, 100)  # warm-up
     per_step = (minor_faults(batch, 100) - minor_faults(batch, 1)) / 99
     assert per_step < 1.0
+
+
+# Recovery from v = 0 with the default config, on seeds no step rule was
+# tuned on. Both bounds (px per half-span) were fixed before these seeds
+# first ran; at n = 800 no step rule meets the criterion-5 tolerance on most
+# batches (the objective's own peak lies ~0.3 from the truth), so the
+# within-tolerance rate is printed, not asserted.
+RECOVERY_MEDIAN_BOUND = 0.5
+RECOVERY_MEDIAN_BOUND_PER_N = 1.0
+
+
+def test_standing_start_recovery_on_unselected_seeds():
+    rng = np.random.default_rng(20261018)
+    errors = {}
+    within = []
+    for n in (800, 5000, 10_000):
+        for duration_us in (10_000, 20_000, 40_000):
+            for _ in range(4):
+                truth = rng.uniform(-5.0, 5.0, 2).tolist()
+                batch = small_scene_batch(truth, int(rng.integers(2**31)), n,
+                                          noise=0.05, duration_us=duration_us)
+                v, _ = estimate_motion(batch, OptimizerConfig(), shape=(64, 64))
+                est = (v.vx, v.vy)
+                errors.setdefault(n, []).append(math.dist(est, truth))
+                within.append(all(
+                    abs(e - t) <= max(0.05, 0.05 * abs(t)) for e, t in zip(est, truth)
+                ))
+    medians = {n: float(np.median(e)) for n, e in errors.items()}
+    overall = float(np.median(sum(errors.values(), [])))
+    print(f"\nstanding-start recovery: median |v - truth| {overall:.3f} "
+          f"(per n: {', '.join(f'{n}: {m:.3f}' for n, m in medians.items())}); "
+          f"{sum(within)}/{len(within)} within the criterion-5 tolerance")
+    assert overall <= RECOVERY_MEDIAN_BOUND
+    assert all(m <= RECOVERY_MEDIAN_BOUND_PER_N for m in medians.values())
+
+
+@pytest.mark.parametrize("velocity,seed", [
+    ((-1.0, 0.0), 300), ((0.0, 3.0), 301), ((0.0, -3.0), 302),
+    ((1.0, 0.0), 303), ((2.5, 0.0), 304), ((0.0, -4.5), 305),
+], ids=lambda p: f"v({p[0]:g},{p[1]:g})" if isinstance(p, tuple) else f"seed{p}")
+def test_ascent_settles_on_a_zero_velocity_axis(velocity, seed):
+    # a step proportional to the gradient swings around the peak of an axis
+    # whose true velocity is 0; the halving step settles, so the returned
+    # velocity is not a sample of the swing
+    batch = small_scene_batch(velocity, seed, 10_000, noise=0.05)
+    v, trace = estimate_motion(batch, OptimizerConfig(), shape=(64, 64))
+    tail = [r.v for r in trace.records[-10:]] + [v]
+    for axis in ("vx", "vy"):
+        values = [getattr(u, axis) for u in tail]
+        assert max(values) - min(values) < 0.05

@@ -1,6 +1,7 @@
 """Synthetic scene generator."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,6 +89,20 @@ class TestGenerateScene:
         )
         assert sc.xs.min() >= 0 and sc.xs.max() < 240
         assert sc.ys.min() >= 0 and sc.ys.max() < 180
+
+    def test_off_sensor_events_dropped_not_clipped(self):
+        # the square leaves a 64x64 sensor through its right edge; the events
+        # kept are exactly those a wider sensor sees on the same 64x64 area
+        cfg = SceneConfig(velocity=(5.0, 0.0), start=(60.0, 32.0), object_size=24,
+                          events_per_batch=3000, seed=6, sensor=(64, 64))
+        small = generate_scene(cfg)
+        wide = generate_scene(replace(cfg, sensor=(240, 180)))
+        on = (wide.xs < 64) & (wide.ys < 64)
+        for name in ("ts", "xs", "ys", "ps", "noise_mask"):
+            assert np.array_equal(getattr(small, name), getattr(wide, name)[on])
+        assert wide.truth["n_off_sensor"] == 0
+        assert small.truth["n_off_sensor"] == int((~on).sum()) > 0
+        assert small.truth["n_events"] == len(small)
 
     @pytest.mark.parametrize("scene", ["square", "bar", "points"])
     def test_warping_at_truth_concentrates_every_scene(self, scene):
