@@ -40,7 +40,7 @@ RUN_SETTINGS = {
     "sensor_width": int, "sensor_height": int, "batch_size": int,  # TrackerConfig
     "roi_update_scale": float, "min_roi_events": int,
     "roi_x0": float, "roi_y0": float, "roi_w": int, "roi_h": int,  # Roi
-    "iterations": int, "learning_rate": float,                     # OptimizerConfig
+    "iterations": int,                                             # OptimizerConfig
     "vx_init": float, "vy_init": float,                            # its v_init
 }
 # --sensor WxH and --roi WxH each set a pair of keys

@@ -14,28 +14,26 @@ from .voting import IweScatter
 from .warp import Velocity, warp_batch
 
 
+# Each axis's first step, px per half-span: it moves the events at the batch
+# edges (|dt| = 1) by one bilinear kernel width.
+FIRST_STEP = 1.0
+
+
 class OptimizationError(RuntimeError):
     pass
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """``iterations`` ascent steps from ``v_init``. ``learning_rate`` is each
-    axis's first step in px per half-span; the default, 1, moves the events
-    at the batch edges (|dt| = 1) by one bilinear kernel width."""
+    """``iterations`` ascent steps from ``v_init``. The step is not a setting:
+    each axis starts at ``FIRST_STEP`` and halves at its sign flips."""
 
     iterations: int = 100
-    learning_rate: float = 1.0
     v_init: Velocity = field(default_factory=lambda: Velocity(0.0, 0.0))
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        # chained comparisons are False for NaN, so NaN fails both checks
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}"
-            )
 
 
 @dataclass(frozen=True)
@@ -85,9 +83,10 @@ def estimate_motion(
     Each iteration warps the batch at the current velocity, scatters the
     IWE, gathers contrast and gradient from it, then moves each axis by its
     own step toward its gradient's sign (not at all on a zero gradient).
-    Each step starts at ``cfg.learning_rate`` and halves when its axis's
-    gradient sign flips (Rprop's rule, Riedmiller & Braun 1993, cut down
-    to a halving), so it needs no calibration to the batch and no divide.
+    Each axis's step starts at the constant ``FIRST_STEP`` and halves when
+    its gradient sign flips (Rprop's rule, Riedmiller & Braun 1993, cut down
+    to a halving), so it needs no calibration to the batch and no divide:
+    in hardware, a wired constant and a shift.
     A closing readout at the returned velocity gives the trace's
     ``final_iwe`` and ``final_contrast``. A readout whose votes all land
     outside the grid, the closing one included, raises
@@ -99,7 +98,7 @@ def estimate_motion(
     grid = IweScatter(n, shape)
 
     v = cfg.v_init
-    steps = [cfg.learning_rate, cfg.learning_rate]
+    steps = [FIRST_STEP, FIRST_STEP]
     signs = [0, 0]
     records: list[IterationRecord] = []
     for it in range(cfg.iterations + 1):

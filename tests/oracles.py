@@ -11,7 +11,7 @@ from typing import Iterator
 import numpy as np
 
 from evcm.events import EventParseError, EventValidationError
-from evcm.voting import PAD, PIPELINE_DEPTH, ROLES, ImageSet, _vote_chunks
+from evcm.voting import PIPELINE_DEPTH, ROLES, ImageSet
 from evcm.warp import Velocity
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -191,9 +191,10 @@ class DatapathBank:
 class BankedDatapathOracle:
     """Per-update loop model of ``evcm.BankedAccumulator``: 3 image roles x
     4 parity banks of ``DatapathBank``, fed every in-grid, non-zero vote of
-    the package's vote stream in (event, corner) order, with the same
+    ``bilinear_votes`` in (event, corner) order, with the same
     ``accumulate``, ``read_and_clear``, ``bank_occupancy`` and
-    ``forwarding_hits``."""
+    ``forwarding_hits``. An event with a non-finite coordinate votes
+    nothing, as in the package."""
 
     def __init__(self, shape: tuple[int, int], forwarding: bool = True) -> None:
         w, h = shape
@@ -204,20 +205,16 @@ class BankedDatapathOracle:
         }
 
     def accumulate(self, warped) -> None:
-        w_dim, h_dim = self.shape
-        half_w = w_dim // 2
+        half_w = self.shape[0] // 2
         role_banks = [self._banks[role] for role in ROLES]
-        for P, W, DWX, DWY in _vote_chunks(warped, self.shape):
-            J, I = np.divmod(P.ravel(), w_dim + 2 * PAD)
-            for i, j, *values in zip(
-                (I - PAD).tolist(), (J - PAD).tolist(),
-                W.ravel().tolist(), DWX.ravel().tolist(), DWY.ravel().tolist(),
-            ):
-                if not (0 <= i < w_dim and 0 <= j < h_dim):
-                    continue
+        for we in warped_events(warped):
+            if not (math.isfinite(we.xw) and math.isfinite(we.yw)):
+                continue
+            for vote in bilinear_votes(we, self.shape):
+                i, j = vote.pixel
                 bank_idx = (i & 1) + 2 * (j & 1)
                 addr = (j >> 1) * half_w + (i >> 1)
-                for banks, value in zip(role_banks, values):
+                for banks, value in zip(role_banks, (vote.w, vote.dwx, vote.dwy)):
                     if value != 0.0:
                         banks[bank_idx].add(addr, value)
 

@@ -111,7 +111,7 @@ class TestModelTiesToImplementation:
         t_iters = 9
         _, trace = estimate_motion(
             batch,
-            OptimizerConfig(iterations=t_iters, learning_rate=0.01),
+            OptimizerConfig(iterations=t_iters),
             shape=(64, 64),
         )
         p = CycleParams(N=len(batch), T=t_iters, n=len(batch), P=64 * 64)

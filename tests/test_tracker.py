@@ -5,7 +5,7 @@ import pytest
 
 from evcm.events import Roi, filter_roi, make_batch
 from evcm.objective import contrast
-from evcm.optimizer import OptimizerConfig
+from evcm.optimizer import OptimizerConfig, estimate_motion
 from evcm.synth import SceneConfig, generate_scene
 from evcm.tracker import TrackerConfig, track, update_roi
 from evcm.warp import Velocity, warp_batch
@@ -163,16 +163,25 @@ class TestTrack:
         assert a.to_csv() == b.to_csv()
 
     def test_warm_start_carries_across_batches(self):
+        # with one ascent step per batch, batch 1's velocity is one step from
+        # where its ascent started: batch 0's velocity, not (0, 0)
         sc = scene_events(batches=2)
         cfg = TrackerConfig(
             batch_size=2000,
             roi_init=Roi(18, 68, 64, 64),
-            optimizer=OptimizerConfig(iterations=1, learning_rate=1e-9),
+            optimizer=OptimizerConfig(iterations=1),
         )
         res = track(sc, cfg)
-        # with a negligible step the velocity stays wherever it started,
-        # proving batch 2 started from batch 1's result rather than (0, 0)
-        assert abs(res.records[1].velocity.vx - res.records[0].velocity.vx) < 1e-6
+        roi = res.records[1].roi
+        batch = filter_roi(make_batch(sc[2000:4000]), roi)
+
+        def one_step_from(v_init):
+            cfg_1 = OptimizerConfig(iterations=1, v_init=v_init)
+            return estimate_motion(batch, cfg_1, shape=(roi.w, roi.h))[0]
+
+        warm = one_step_from(res.records[0].velocity)
+        assert res.records[1].velocity == warm
+        assert warm != one_step_from(Velocity(0.0, 0.0))
 
     def test_iwe_dump(self, tmp_path):
         sc = scene_events(batches=2)
