@@ -37,6 +37,9 @@ class CycleParams:
         for name in ("N", "T", "n", "P", "L_r", "L_v"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if self.n > self.N:
+            raise ValueError(f"n ({self.n} ROI events) must not exceed N ({self.N}): "
+                             f"the ROI events are a subset of the batch")
         if self.P % 4 != 0:
             raise ValueError(f"P must be divisible by 4, got {self.P}")
         # chained comparisons are False for NaN, so NaN fails the check
@@ -62,11 +65,14 @@ def speedup_report(
     """Comparison table: each measured time against the projected batch time.
 
     ``measured_times`` maps label -> seconds; None selects the published
-    reference timings. Speedups are displayed to 3 significant figures.
+    reference timings. Speedups are displayed to 3 significant figures. A
+    projection of 0 cycles has no speedup against it and raises ValueError.
     """
     if measured_times is None:
         measured_times = REFERENCE_TIMES
     cycles = cycles_per_batch(p)
+    if cycles == 0:
+        raise ValueError("the FPGA projection is 0 cycles per batch: no speedup is defined")
     fpga_s = batch_time(p)
     rows = [("FPGA projection", fpga_s, 1.0)]
     rows.extend(

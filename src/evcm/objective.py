@@ -20,20 +20,7 @@ def contrast(iwe: np.ndarray) -> tuple[float, float]:
 
 
 def evaluate(s: IweScatter) -> tuple[float, float, float]:
-    """Contrast and its (vx, vy) gradient from the IWE ``s`` last scattered.
-
-    The contrast is ``contrast(s.iwe)[0]``. The gradient gathers the centred
-    IWE I − μ at each event's four stencil corners:
-    ∂C/∂v = 2/P · Σ_events Σ_corners (I − μ)[corner] · ∂w/∂v over the P
-    pixels. The mean of the derivative image drops out because the centred
-    IWE sums to 0, and corners off the grid read the padding ring's 0.
-    """
+    """Contrast and its (vx, vy) gradient from the IWE ``s`` last scattered:
+    ``contrast(s.iwe)[0]`` and ``s.gradient`` at the IWE's mean."""
     c, mu = contrast(s.iwe)
-    np.subtract(s.iwe, mu, out=s.centred_interior)
-    c0, c1, c2, c3 = np.take(s.centred.ravel(), s.index, out=s.corners, mode="clip").T
-    dx, dy, one_dx, one_dy = s.frac
-    # ∂x'/∂vx = -dt, so ∂w/∂vx per corner is dt·(1−dy, −(1−dy), dy, −dy)
-    g_vx = np.dot(s.dts, one_dy * (c0 - c1) + dy * (c2 - c3))
-    g_vy = np.dot(s.dts, one_dx * (c0 - c2) + dx * (c1 - c3))
-    scale = 2.0 / s.iwe.size
-    return c, scale * float(g_vx), scale * float(g_vy)
+    return (c, *s.gradient(mu))

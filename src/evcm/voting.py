@@ -6,7 +6,7 @@ weights, and every pixel may also receive the two velocity derivatives of
 that weight. Three voters share one stencil (``_stencil``):
 
 * ``IweScatter``, which the estimator runs, scatters the IWE alone and keeps
-  the stencil, from which ``objective.evaluate`` gathers the gradient.
+  the stencil, from which ``IweScatter.gradient`` gathers the gradient.
 * ``NaiveAccumulator`` sums all three images straight into dense grids; it
   is the reference for the banked one and for the gradient.
 * ``BankedAccumulator`` models the hardware datapath: 12 memory banks
@@ -22,14 +22,14 @@ that weight. Three voters share one stencil (``_stencil``):
 Temporaries sized by the whole batch run to hundreds of KB; the allocator
 returns such blocks to the OS and page-faults them back in on every ascent
 iteration, which costs more than the arithmetic. So ``IweScatter`` keeps
-its batch-sized buffers for the whole ascent, and the accumulators vote
-CHUNK_EVENTS events at a time. Instead of masking off-grid corners, the
-grids carry a PAD-pixel ring that catches them and is cut away on read.
-``np.add.at`` adds each contribution in (event, corner) order, across chunks
-and across calls, and one unchunked ``np.bincount`` adds in the same order,
-so every pixel is the same sequential sum in all three voters and their
-IWEs are bit-identical. Only summing per-chunk partials would change the
-rounding.
+its batch-sized buffers for the whole ascent. The accumulators are not in
+the ascent, so they build each call's vote stream afresh, in one pass.
+Instead of masking off-grid corners, the grids carry a PAD-pixel ring that
+catches them and is cut away on read. ``np.add.at`` adds each contribution
+in (event, corner) order, across calls too, and ``np.bincount`` adds in the
+same order, so every pixel is the same sequential sum in all three voters
+and their IWEs are bit-identical. Only summing partial images would change
+the rounding.
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ from .warp import WarpedBatch
 # PIPELINE_DEPTH cycles; the forwarding buffer covers exactly that window.
 PIPELINE_DEPTH = 3
 
-# Events voted per pass: each (CHUNK_EVENTS, 4) float64 stream is 32 KB, well
-# under glibc's 128 KB mmap threshold, so its pages are reused, not refaulted.
-CHUNK_EVENTS = 1024
 # Padding ring, in pixels per side, that catches stencils leaving the grid.
 PAD = 2
 
@@ -123,33 +120,25 @@ def _stencil(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
     np.multiply(dx, dy, out=W[:, 3])
 
 
-def _vote_arrays(xs: np.ndarray, ys: np.ndarray, dts: np.ndarray,
-                 shape: tuple[int, int]):
-    """Vectorized vote stream for a run of warped events.
+def _vote_arrays(warped: WarpedBatch, shape: tuple[int, int]):
+    """Vectorized vote stream for a batch of n warped events.
 
     Returns (P, W, DWX, DWY), each of shape (n, 4): the ``_stencil`` of the
-    run, and the velocity derivatives of its weights in the same layout.
+    batch, and the velocity derivatives of its weights in the same layout.
     """
-    n = xs.shape[0]
+    n = len(warped)
     P = np.empty((n, 4), dtype=np.intp)
     W = np.empty((n, 4))
     F = np.empty((4, n))
-    _stencil(xs, ys, shape, P, W, F)
+    _stencil(warped.xs, warped.ys, shape, P, W, F)
     dx, dy, one_dx, one_dy = F
-    ndt = -dts
+    ndt = -warped.dts
     # ndt * (-a) == -(ndt * a) exactly: IEEE rounding is sign-symmetric
     a, b = ndt * one_dy, ndt * dy
     DWX = np.stack((-a, a, -b, b), axis=1)
     a, b = ndt * one_dx, ndt * dx
     DWY = np.stack((-a, -b, a, b), axis=1)
     return P, W, DWX, DWY
-
-
-def _vote_chunks(warped: WarpedBatch, shape: tuple[int, int]):
-    """``_vote_arrays`` over consecutive CHUNK_EVENTS-event slices, in order."""
-    for s in range(0, len(warped), CHUNK_EVENTS):
-        e = s + CHUNK_EVENTS
-        yield _vote_arrays(warped.xs[s:e], warped.ys[s:e], warped.dts[s:e], shape)
 
 
 def _check_grid(shape: tuple[int, int]) -> None:
@@ -159,7 +148,7 @@ def _check_grid(shape: tuple[int, int]) -> None:
 
 
 def _scatter(grids: np.ndarray, P, W, DWX, DWY) -> None:
-    """Add one chunk's ``_vote_arrays`` to the three flattened padded grids
+    """Add one call's ``_vote_arrays`` to the three flattened padded grids
     (iwe, d_vx, d_vy), each contribution in (event, corner) order."""
     flat = P.ravel()
     for grid, values in zip(grids, (W, DWX, DWY)):
@@ -186,8 +175,7 @@ class NaiveAccumulator:
         self._grids = np.zeros((3, (h + 2 * PAD) * (w + 2 * PAD)))
 
     def accumulate(self, warped: WarpedBatch) -> None:
-        for chunk in _vote_chunks(warped, self.shape):
-            _scatter(self._grids, *chunk)
+        _scatter(self._grids, *_vote_arrays(warped, self.shape))
 
     def read_and_clear(self) -> ImageSet:
         return _read_and_clear(self._grids, self.shape)
@@ -195,8 +183,7 @@ class NaiveAccumulator:
 
 class IweScatter:
     """The estimator's voting: the IWE alone, scattered by one ``bincount``
-    per call, with the stencil kept for ``objective.evaluate`` to gather the
-    gradient from.
+    per call, and the variance gradient gathered from it at the stencil.
 
     The (n, 4) stencil and gather buffers of a batch of ``n_events`` events
     are allocated once, here, and reused by every ascent iteration. After
@@ -208,24 +195,42 @@ class IweScatter:
         _check_grid(shape)
         w, h = shape
         self.shape = shape
-        self.index = np.empty((n_events, 4), dtype=np.intp)
-        self.weight = np.empty((n_events, 4))
-        self.corners = np.empty((n_events, 4))  # gather target
-        self.frac = np.empty((4, n_events))  # dx, dy, 1 - dx, 1 - dy
+        self._index = np.empty((n_events, 4), dtype=np.intp)
+        self._weight = np.empty((n_events, 4))
+        self._corners = np.empty((n_events, 4))  # gather target
+        self._frac = np.empty((4, n_events))  # dx, dy, 1 - dx, 1 - dy
         # the centred IWE on the padded grid; the ring stays 0, so corners
         # that left the grid gather nothing
-        self.centred = np.zeros((h + 2 * PAD, w + 2 * PAD))
-        self.centred_interior = self.centred[PAD:-PAD, PAD:-PAD]
+        self._centred = np.zeros((h + 2 * PAD, w + 2 * PAD))
 
     def scatter(self, warped: WarpedBatch) -> None:
-        self.dts = warped.dts
-        _stencil(warped.xs, warped.ys, self.shape, self.index, self.weight, self.frac)
+        self._dts = warped.dts
+        _stencil(warped.xs, warped.ys, self.shape, self._index, self._weight, self._frac)
         # bincount adds in input order: every pixel is the same sequential
         # (event, corner)-order sum as in the accumulators
-        padded = np.bincount(self.index.ravel(), self.weight.ravel(),
-                             minlength=self.centred.size)
-        self.iwe = padded.reshape(self.centred.shape)[PAD:-PAD, PAD:-PAD].copy()
+        padded = np.bincount(self._index.ravel(), self._weight.ravel(),
+                             minlength=self._centred.size)
+        self.iwe = padded.reshape(self._centred.shape)[PAD:-PAD, PAD:-PAD].copy()
         self.in_bounds_mass = float(self.iwe.sum())
+
+    def gradient(self, mu: float) -> tuple[float, float]:
+        """(∂C/∂vx, ∂C/∂vy) of the variance C of ``iwe``, whose mean is ``mu``.
+
+        Gathers the centred IWE I − μ at each event's four stencil corners:
+        ∂C/∂v = 2/P · Σ_events Σ_corners (I − μ)[corner] · ∂w/∂v over the P
+        pixels. The mean of the derivative image drops out because the
+        centred IWE sums to 0, and corners off the grid read the padding
+        ring's 0.
+        """
+        np.subtract(self.iwe, mu, out=self._centred[PAD:-PAD, PAD:-PAD])
+        c0, c1, c2, c3 = np.take(self._centred.ravel(), self._index,
+                                 out=self._corners, mode="clip").T
+        dx, dy, one_dx, one_dy = self._frac
+        # ∂x'/∂vx = -dt, so ∂w/∂vx per corner is dt·(1−dy, −(1−dy), dy, −dy)
+        g_vx = np.dot(self._dts, one_dy * (c0 - c1) + dy * (c2 - c3))
+        g_vy = np.dot(self._dts, one_dx * (c0 - c2) + dx * (c1 - c3))
+        scale = 2.0 / self.iwe.size
+        return scale * float(g_vx), scale * float(g_vy)
 
 
 def _per_bank(counts: np.ndarray, role: str) -> tuple[int, int, int, int]:
@@ -272,12 +277,12 @@ class BankedAccumulator:
         self._inflight = np.empty(0, dtype=np.intp)
 
     def accumulate(self, warped: WarpedBatch) -> None:
-        for chunk in _vote_chunks(warped, self.shape):
-            _scatter(self._grids, *chunk)
-            self._issue(*chunk)
+        votes = _vote_arrays(warped, self.shape)
+        _scatter(self._grids, *votes)
+        self._issue(*votes)
 
     def _issue(self, P, W, DWX, DWY) -> None:
-        """Hazard analysis of one chunk's in-grid, non-zero updates."""
+        """Hazard analysis of one call's in-grid, non-zero updates."""
         w_dim, h_dim = self.shape
         j, i = np.divmod(P.ravel(), w_dim + 2 * PAD)
         i -= PAD

@@ -274,7 +274,7 @@ def test_criterion_8a_voting_invariants_100k_events():
     warped = WarpedBatch(
         xs=rng.uniform(1, 62, n), ys=rng.uniform(1, 62, n), dts=rng.uniform(-1, 1, n)
     )
-    _, W, DWX, DWY = _vote_arrays(warped.xs, warped.ys, warped.dts, (64, 64))
+    _, W, DWX, DWY = _vote_arrays(warped, (64, 64))
     # the four bilinear weights of each event always sum to one...
     assert np.max(np.abs(W.sum(axis=1) - 1.0)) < 1e-12
     # ...so their velocity sensitivities must cancel

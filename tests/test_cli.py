@@ -450,6 +450,15 @@ class TestCyclesCommand:
         assert main(["cycles", "--clock", clock]) == 1
         assert capsys.readouterr().err.startswith("error: f_clk must be positive and finite")
 
+    def test_zero_cycle_projection_is_an_error(self, capsys):
+        assert main(["cycles", "--n-events", "0", "--iters", "0", "--roi-events", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error: the FPGA projection is 0 cycles")
+
+    def test_more_roi_events_than_batch_events_rejected(self, capsys):
+        assert main(["cycles", "--n-events", "800", "--roi-events", "900"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: n (900 ROI events) must not exceed N (800)")
+
     def test_csv_format(self, capsys):
         assert main(["cycles", "--format", "csv"]) == 0
         assert capsys.readouterr().out.startswith("label,time_ms,speedup")

@@ -53,6 +53,12 @@ class TestCyclesPerBatch:
         with pytest.raises(ValueError):
             CycleParams(N=1, T=1, n=1, P=64, f_clk=0.0)
 
+    def test_more_roi_events_than_batch_events_rejected(self):
+        # the ROI events are a subset of the batch; n == N stays valid
+        with pytest.raises(ValueError, match=r"n \(801 ROI events\) must not exceed N \(800\)"):
+            CycleParams(N=800, T=1, n=801, P=64)
+        assert cycles_per_batch(CycleParams(N=800, T=0, n=800, P=64)) == 800
+
     @pytest.mark.parametrize("clock", [float("inf"), float("nan"), -float("inf")])
     def test_non_finite_clock_rejected(self, clock):
         with pytest.raises(ValueError, match="f_clk must be positive and finite"):
@@ -97,6 +103,12 @@ class TestSpeedupReport:
         p = CycleParams(N=5000, T=100, n=800, P=4096)
         csv = speedup_report(p, measured_times={"same": batch_time(p)}, fmt="csv")
         assert csv.splitlines()[2].endswith(",1")
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_zero_cycle_projection_rejected(self, fmt):
+        p = CycleParams(N=0, T=0, n=0, P=4096)
+        with pytest.raises(ValueError, match="projection is 0 cycles"):
+            speedup_report(p, fmt=fmt)
 
     def test_unknown_format_rejected(self):
         p = CycleParams(N=1, T=1, n=1, P=4)
