@@ -10,8 +10,6 @@ from pathlib import Path
 
 from .cyclemodel import (
     DEFAULT_CLOCK_HZ,
-    DEFAULT_READOUT_LATENCY,
-    DEFAULT_VOTING_LATENCY,
     CycleParams,
     batch_time,
     cycles_per_batch,
@@ -177,8 +175,6 @@ def cmd_cycles(args: argparse.Namespace) -> int:
         T=args.iters,
         n=args.roi_events,
         P=roi_w * roi_h,
-        L_r=args.readout_latency,
-        L_v=args.voting_latency,
         f_clk=args.clock,
     )
     print(speedup_report(params, fmt=args.format), end="")
@@ -244,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cyc.add_argument("--roi-events", type=int, default=800)
     p_cyc.add_argument("--roi", type=_parse_size, default="64x64")
     p_cyc.add_argument("--clock", type=float, default=DEFAULT_CLOCK_HZ)
-    p_cyc.add_argument("--readout-latency", type=int, default=DEFAULT_READOUT_LATENCY)
-    p_cyc.add_argument("--voting-latency", type=int, default=DEFAULT_VOTING_LATENCY)
     p_cyc.add_argument("--format", choices=("text", "csv"), default="text")
     p_cyc.set_defaults(func=cmd_cycles)
 

@@ -12,8 +12,8 @@ import io
 import math
 from dataclasses import dataclass
 
-DEFAULT_READOUT_LATENCY = 32
-DEFAULT_VOTING_LATENCY = 35
+READOUT_LATENCY = 32
+VOTING_LATENCY = 35
 DEFAULT_CLOCK_HZ = 210e6
 
 # Published host timings for the 5000-event / 64x64 ROI / 100-iteration batch.
@@ -29,12 +29,10 @@ class CycleParams:
     T: int                                  # optimization iterations
     n: int                                  # events inside the ROI
     P: int                                  # ROI pixel count, divisible by 4
-    L_r: int = DEFAULT_READOUT_LATENCY
-    L_v: int = DEFAULT_VOTING_LATENCY
     f_clk: float = DEFAULT_CLOCK_HZ
 
     def __post_init__(self) -> None:
-        for name in ("N", "T", "n", "P", "L_r", "L_v"):
+        for name in ("N", "T", "n", "P"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.n > self.N:
@@ -48,8 +46,9 @@ class CycleParams:
 
 
 def cycles_per_batch(p: CycleParams) -> int:
-    """Clock cycles to process one batch: N + T * (n + L_r + P/4 + L_v)."""
-    return p.N + p.T * (p.n + p.L_r + p.P // 4 + p.L_v)
+    """Clock cycles to process one batch: N + T * (n + L_r + P/4 + L_v),
+    with the latencies L_r = READOUT_LATENCY and L_v = VOTING_LATENCY."""
+    return p.N + p.T * (p.n + READOUT_LATENCY + p.P // 4 + VOTING_LATENCY)
 
 
 def batch_time(p: CycleParams) -> float:

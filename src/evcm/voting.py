@@ -3,33 +3,32 @@ IWE and its two velocity-derivative images.
 
 Each warped event spreads over its four neighboring pixels with bilinear
 weights, and every pixel may also receive the two velocity derivatives of
-that weight. Three voters share one stencil (``_stencil``):
+that weight. Three voters share one stencil (``_stencil``) and sum each
+image with one ``np.bincount`` (``_image``):
 
 * ``IweScatter``, which the estimator runs, scatters the IWE alone and keeps
   the stencil, from which ``IweScatter.gradient`` gathers the gradient.
-* ``NaiveAccumulator`` sums all three images straight into dense grids; it
-  is the reference for the banked one and for the gradient.
+* ``NaiveAccumulator`` sums all three images; it is the reference for the
+  banked one and for the gradient.
 * ``BankedAccumulator`` models the hardware datapath: 12 memory banks
   (3 image roles x 4 coordinate-parity banks), each a 3-stage
   read-modify-write pipeline with a 3-entry forwarding buffer resolving
   same-address hazards, and clear-on-read semantics. As the buffer covers
   every update in flight, each bank word is the in-order sum of its
-  updates, so the banks' images are the naive scatter itself; the model
-  adds whole-array hazard analysis of each bank's address stream (issued
+  updates, so the banks' images are the naive ones; the model adds
+  whole-array hazard analysis of each bank's address stream (issued
   updates and forwarding hits per bank). It is driven directly, as a model
   of the datapath, not as an estimator mode.
 
-Temporaries sized by the whole batch run to hundreds of KB; the allocator
-returns such blocks to the OS and page-faults them back in on every ascent
-iteration, which costs more than the arithmetic. So ``IweScatter`` keeps
-its batch-sized buffers for the whole ascent. The accumulators are not in
-the ascent, so they build each call's vote stream afresh, in one pass.
-Instead of masking off-grid corners, the grids carry a PAD-pixel ring that
-catches them and is cut away on read. ``np.add.at`` adds each contribution
-in (event, corner) order, across calls too, and ``np.bincount`` adds in the
-same order, so every pixel is the same sequential sum in all three voters
-and their IWEs are bit-identical. Only summing partial images would change
-the rounding.
+An accumulator keeps each ``accumulate`` call's vote stream until its next
+readout (its readout window) and sums the window at ``read_and_clear``.
+``np.bincount`` adds each pixel's votes one at a time in stream order, so
+every pixel is the same sequential sum in all three voters, however the
+stream was cut into calls. Off-grid corners land in a PAD-pixel ring.
+
+Batch-sized temporaries of hundreds of KB go back to the OS and are
+page-faulted in again on every ascent iteration, which costs more than the
+arithmetic, so ``IweScatter`` keeps its buffers for the whole ascent.
 """
 
 from __future__ import annotations
@@ -147,38 +146,46 @@ def _check_grid(shape: tuple[int, int]) -> None:
         raise VotingConfigError(f"grid must be at least 2x2, got {w}x{h}")
 
 
-def _scatter(grids: np.ndarray, P, W, DWX, DWY) -> None:
-    """Add one call's ``_vote_arrays`` to the three flattened padded grids
-    (iwe, d_vx, d_vy), each contribution in (event, corner) order."""
-    flat = P.ravel()
-    for grid, values in zip(grids, (W, DWX, DWY)):
-        np.add.at(grid, flat, values.ravel())
+def _image(index: np.ndarray, values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The (h, w) image of ``values`` voted at the padded-grid ``index``:
+    one ``bincount``, which adds each pixel's votes in stream order."""
+    w, h = shape
+    ph, pw = h + 2 * PAD, w + 2 * PAD
+    padded = np.bincount(index.ravel(), values.ravel(), minlength=ph * pw)
+    # astype copies, and keeps float64 where an empty stream counts ints
+    return padded.reshape(ph, pw)[PAD:-PAD, PAD:-PAD].astype(np.float64)
 
 
-def _read_and_clear(grids: np.ndarray, shape: tuple[int, int]) -> ImageSet:
-    """The three padded grids cut to (h, w), then zeroed (clear-on-read)."""
-    w_dim, h_dim = shape
-    padded = grids.reshape(3, h_dim + 2 * PAD, w_dim + 2 * PAD)
-    iwe, dvx, dvy = padded[:, PAD:-PAD, PAD:-PAD].copy()
-    grids.fill(0.0)
+# the votes of no events, which starts every readout window's stream
+_NO_VOTES = (np.empty((0, 4), dtype=np.intp), *np.empty((3, 0, 4)))
+
+
+def _stream(window: list) -> list[np.ndarray]:
+    """A readout window's (P, W, DWX, DWY): its calls' ``_vote_arrays``
+    concatenated in call order."""
+    return [np.concatenate(parts) for parts in zip(_NO_VOTES, *window)]
+
+
+def _images(shape: tuple[int, int], P, W, DWX, DWY) -> ImageSet:
+    iwe, dvx, dvy = (_image(P, values, shape) for values in (W, DWX, DWY))
     return ImageSet(iwe=iwe, d_vx=dvx, d_vy=dvy, in_bounds_mass=float(iwe.sum()))
 
 
 class NaiveAccumulator:
-    """Dense-grid reference accumulator with clear-on-read."""
+    """Reference accumulator of the three images, with clear-on-read."""
 
     def __init__(self, shape: tuple[int, int]) -> None:
         _check_grid(shape)
-        w, h = shape
         self.shape = shape
-        # iwe, d_vx, d_vy; each row is one flattened padded grid
-        self._grids = np.zeros((3, (h + 2 * PAD) * (w + 2 * PAD)))
+        self._window: list = []  # each call's _vote_arrays since the readout
 
     def accumulate(self, warped: WarpedBatch) -> None:
-        _scatter(self._grids, *_vote_arrays(warped, self.shape))
+        self._window.append(_vote_arrays(warped, self.shape))
 
     def read_and_clear(self) -> ImageSet:
-        return _read_and_clear(self._grids, self.shape)
+        votes = _stream(self._window)
+        self._window = []
+        return _images(self.shape, *votes)
 
 
 class IweScatter:
@@ -206,11 +213,7 @@ class IweScatter:
     def scatter(self, warped: WarpedBatch) -> None:
         self._dts = warped.dts
         _stencil(warped.xs, warped.ys, self.shape, self._index, self._weight, self._frac)
-        # bincount adds in input order: every pixel is the same sequential
-        # (event, corner)-order sum as in the accumulators
-        padded = np.bincount(self._index.ravel(), self._weight.ravel(),
-                             minlength=self._centred.size)
-        self.iwe = padded.reshape(self._centred.shape)[PAD:-PAD, PAD:-PAD].copy()
+        self.iwe = _image(self._index, self._weight, self.shape)
         self.in_bounds_mass = float(self.iwe.sum())
 
     def gradient(self, mu: float) -> tuple[float, float]:
@@ -233,9 +236,32 @@ class IweScatter:
         return scale * float(g_vx), scale * float(g_vy)
 
 
-def _per_bank(counts: np.ndarray, role: str) -> tuple[int, int, int, int]:
-    k = 4 * ROLES.index(role)
-    return tuple(counts[k:k + 4].tolist())  # type: ignore[return-value]
+def _hazards(shape: tuple[int, int], P, W, DWX, DWY) -> np.ndarray:
+    """(2, 12) issued updates and forwarding hits per bank key (role * 4 +
+    parity bank) of one readout window's vote stream, which starts with the
+    pipelines drained."""
+    w_dim, h_dim = shape
+    j, i = np.divmod(P.ravel(), w_dim + 2 * PAD)
+    i -= PAD
+    j -= PAD
+    issued = np.stack((W.ravel(), DWX.ravel(), DWY.ravel())) != 0.0
+    issued &= (0 <= i) & (i < w_dim) & (0 <= j) & (j < h_dim)
+    # the (role, event, corner) order of the selection is each bank's
+    # issue order
+    key = 4 * np.arange(len(ROLES))[:, None] + (i & 1) + 2 * (j & 1)
+    word = (j >> 1) * (w_dim // 2) + (i >> 1)
+    tags = (key * (w_dim // 2) * (h_dim // 2) + word)[issued]
+    # int8 keys sort stably by radix; the sort lines up each bank's stream
+    # in issue order
+    keys = key[issued].astype(np.int8)
+    order = np.argsort(keys, kind="stable")
+    tags, keys = tags[order], keys[order]
+    # a tag holds bank and word, so it matches one of the previous
+    # PIPELINE_DEPTH tags only within its own bank's stream
+    hit = np.zeros(tags.size, dtype=bool)
+    for d in range(1, PIPELINE_DEPTH + 1):
+        hit[d:] |= tags[d:] == tags[:-d]
+    return np.stack([np.bincount(k, minlength=4 * len(ROLES)) for k in (keys, keys[hit])])
 
 
 class BankedAccumulator:
@@ -247,15 +273,16 @@ class BankedAccumulator:
     Each bank is a read-modify-write pipeline with PIPELINE_DEPTH updates in
     flight and a forwarding buffer over exactly those updates, so every bank
     word ends up as the in-order sum of its updates: the images are the
-    naive accumulator's scatter, bit for bit. What the banks add is the
-    update stream's hazard analysis. Only in-grid, non-zero contributions
-    are issued; ``bank_occupancy`` counts them per bank and
-    ``forwarding_hits`` counts those whose word matches an update still in
-    flight in the same bank, the updates that would read a stale word
-    without the buffer. The in-flight window spans ``accumulate`` calls.
+    naive accumulator's, bit for bit. What the banks add is the update
+    stream's hazard analysis. Only in-grid, non-zero contributions are
+    issued; ``bank_occupancy`` counts them per bank and ``forwarding_hits``
+    counts those whose word matches an update still in flight in the same
+    bank, the updates that would read a stale word without the buffer.
+    Hazards are counted over each readout window's whole stream: every
+    ``accumulate`` call since the last readout, in call order.
 
-    ``read_and_clear`` models the clear-on-read BRAM scheme: it flushes the
-    pipelines, returns the accumulated grids and leaves every bank zeroed.
+    ``read_and_clear`` models the clear-on-read BRAM scheme: the pipelines
+    drain, and it returns the window's images and leaves every bank zeroed.
     The two counters run on across readouts, over the accumulator's life.
     """
 
@@ -267,60 +294,31 @@ class BankedAccumulator:
             )
         _check_grid(shape)
         self.shape = shape
-        self._grids = np.zeros((3, (h + 2 * PAD) * (w + 2 * PAD)))
-        self._n_words = (w // 2) * (h // 2)
-        # per bank key role * 4 + parity bank, over the accumulator's life
-        self._occupancy = np.zeros(4 * len(ROLES), dtype=np.int64)
-        self._hits = np.zeros(4 * len(ROLES), dtype=np.int64)
-        # tags (bank key * n_words + word) of the updates still in flight:
-        # the last PIPELINE_DEPTH of each bank, in issue order
-        self._inflight = np.empty(0, dtype=np.intp)
+        self._window: list = []  # each call's _vote_arrays since the readout
+        # the _hazards of the windows read out so far
+        self._closed = np.zeros((2, 4 * len(ROLES)), dtype=np.int64)
 
     def accumulate(self, warped: WarpedBatch) -> None:
-        votes = _vote_arrays(warped, self.shape)
-        _scatter(self._grids, *votes)
-        self._issue(*votes)
+        self._window.append(_vote_arrays(warped, self.shape))
 
-    def _issue(self, P, W, DWX, DWY) -> None:
-        """Hazard analysis of one call's in-grid, non-zero updates."""
-        w_dim, h_dim = self.shape
-        j, i = np.divmod(P.ravel(), w_dim + 2 * PAD)
-        i -= PAD
-        j -= PAD
-        issued = np.stack((W.ravel(), DWX.ravel(), DWY.ravel())) != 0.0
-        issued &= (0 <= i) & (i < w_dim) & (0 <= j) & (j < h_dim)
-        # the (role, event, corner) order of the selection is each bank's
-        # issue order
-        key = 4 * np.arange(len(ROLES))[:, None] + (i & 1) + 2 * (j & 1)
-        word = (j >> 1) * (w_dim // 2) + (i >> 1)
-        carried = self._inflight.size
-        tags = np.concatenate((self._inflight, (key * self._n_words + word)[issued]))
-        # int8 keys sort stably by radix; the sort lines up each bank's
-        # stream, carried updates first, in issue order
-        keys = (tags // self._n_words).astype(np.int8)
-        order = np.argsort(keys, kind="stable")
-        tags, keys = tags[order], keys[order]
-        fresh = order >= carried
-        # a tag holds bank and word, so it matches one of the previous
-        # PIPELINE_DEPTH tags only within its own bank's stream
-        hit = np.zeros(tags.size, dtype=bool)
-        for d in range(1, PIPELINE_DEPTH + 1):
-            hit[d:] |= tags[d:] == tags[:-d]
-        self._occupancy += np.bincount(keys[fresh], minlength=self._occupancy.size)
-        self._hits += np.bincount(keys[hit & fresh], minlength=self._hits.size)
-        last = np.ones(tags.size, dtype=bool)
-        last[:-PIPELINE_DEPTH] = keys[PIPELINE_DEPTH:] != keys[:-PIPELINE_DEPTH]
-        self._inflight = tags[last]
+    def _per_bank(self, which: int, role: str) -> tuple[int, int, int, int]:
+        """Row ``which`` of the ``_hazards`` counts for one role's banks,
+        over the windows read out and the one still open."""
+        counts = self._closed + _hazards(self.shape, *_stream(self._window))
+        k = 4 * ROLES.index(role)
+        return tuple(counts[which, k:k + 4].tolist())  # type: ignore[return-value]
 
     def bank_occupancy(self, role: str = "iwe") -> tuple[int, int, int, int]:
         """Non-zero updates issued per parity bank for one image role."""
-        return _per_bank(self._occupancy, role)
+        return self._per_bank(0, role)
 
     def forwarding_hits(self, role: str = "iwe") -> tuple[int, int, int, int]:
         """Updates per parity bank for one image role that read their word
         from the forwarding buffer, as it was still in flight."""
-        return _per_bank(self._hits, role)
+        return self._per_bank(1, role)
 
     def read_and_clear(self) -> ImageSet:
-        self._inflight = self._inflight[:0]  # the pipelines drain
-        return _read_and_clear(self._grids, self.shape)
+        votes = _stream(self._window)
+        self._window = []
+        self._closed += _hazards(self.shape, *votes)  # the pipelines drain
+        return _images(self.shape, *votes)

@@ -89,7 +89,7 @@ def grid_search(batch, span=6.0, coarse=0.5, fine=0.1):
 # ---------------------------------------------------------------------------
 
 def test_criterion_1_cycle_model_reference_point():
-    p = CycleParams(N=5000, T=100, n=800, P=4096, L_r=32, L_v=35, f_clk=210e6)
+    p = CycleParams(N=5000, T=100, n=800, P=4096, f_clk=210e6)
     cycles = cycles_per_batch(p)
     ms = batch_time(p) * 1e3
     assert cycles == 194100

@@ -463,6 +463,14 @@ class TestCyclesCommand:
         assert main(["cycles", "--format", "csv"]) == 0
         assert capsys.readouterr().out.startswith("label,time_ms,speedup")
 
+    @pytest.mark.parametrize("flag", ["--readout-latency", "--voting-latency"])
+    def test_latencies_are_not_flags(self, flag, capsys):
+        # the pipeline latencies are the cyclemodel constants
+        with pytest.raises(SystemExit) as exc:
+            main(["cycles", flag, "5"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "command,flag",

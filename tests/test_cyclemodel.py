@@ -1,5 +1,7 @@
 """Cycle-count model and timing projections."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,11 +24,11 @@ from test_optimizer import small_scene_batch
 
 class TestCyclesPerBatch:
     def test_reference_configuration(self):
-        p = CycleParams(N=5000, T=100, n=800, P=4096, L_r=32, L_v=35)
+        p = CycleParams(N=5000, T=100, n=800, P=4096)
         assert cycles_per_batch(p) == 194100
 
     def test_zero_work(self):
-        p = CycleParams(N=0, T=0, n=0, P=4, L_r=0, L_v=0)
+        p = CycleParams(N=0, T=0, n=0, P=4)
         assert cycles_per_batch(p) == 0
 
     def test_full_frame_configuration(self):
@@ -34,16 +36,10 @@ class TestCyclesPerBatch:
         assert cycles_per_batch(p) == 1433030
 
     def test_monotone_in_every_parameter(self):
-        base = CycleParams(N=100, T=10, n=50, P=64, L_r=4, L_v=5)
+        base = CycleParams(N=100, T=10, n=50, P=64)
         c0 = cycles_per_batch(base)
-        bumps = dict(N=101, T=11, n=51, P=68, L_r=5, L_v=6)
-        for name, value in bumps.items():
-            kwargs = {
-                "N": base.N, "T": base.T, "n": base.n,
-                "P": base.P, "L_r": base.L_r, "L_v": base.L_v,
-            }
-            kwargs[name] = value
-            assert cycles_per_batch(CycleParams(**kwargs)) >= c0
+        for name, value in dict(N=101, T=11, n=51, P=68).items():
+            assert cycles_per_batch(replace(base, **{name: value})) >= c0
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):

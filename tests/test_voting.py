@@ -86,6 +86,9 @@ class TestNaiveAccumulator:
         assert imgs.iwe.shape == (8, 8)
         assert not imgs.iwe.any()
         assert imgs.in_bounds_mass == 0.0
+        # bincount of no votes counts in ints; every voter's image is float
+        grid = scatter_iwe(wbatch([], [], []), (8, 8))
+        assert imgs.iwe.dtype == imgs.d_vx.dtype == grid.iwe.dtype == np.float64
 
     def test_interior_events_mass_equals_count(self, rng):
         n = 500
@@ -286,7 +289,7 @@ def edge_stream(rng, n, grid) -> WarpedBatch:
     return wbatch(xs, ys, rng.uniform(-1, 1, n))
 
 
-class TestChunkBoundaries:
+class TestLongStreams:
     """Streams longer than a paper-point ROI batch (about 800 events), each
     voted in one call, and one stream cut into two calls."""
 
@@ -328,6 +331,11 @@ class TestChunkBoundaries:
         a, b = split.read_and_clear(), whole.read_and_clear()
         assert_imagesets_identical(a, b)
         assert a.in_bounds_mass == b.in_bounds_mass
+        if cls is BankedAccumulator:
+            # one readout window: the updates in flight span the cut
+            for role in ROLES:
+                assert split.bank_occupancy(role) == whole.bank_occupancy(role)
+                assert split.forwarding_hits(role) == whole.forwarding_hits(role)
 
 
 class TestPgmExport:
