@@ -48,7 +48,8 @@ class IterationRecord:
 @dataclass
 class OptimizationTrace:
     """One record per ascent step, and the IWE read out at the velocity the
-    ascent returns (after the last step)."""
+    ascent returns (after the last step, or at the fixed point it stopped
+    reading out at)."""
 
     records: list[IterationRecord]
     final_iwe: np.ndarray
@@ -91,6 +92,13 @@ def estimate_motion(
     ``final_iwe`` and ``final_contrast``. A readout whose votes all land
     outside the grid, the closing one included, raises
     ``OptimizationError``: the velocity has run away.
+
+    A step that leaves the velocity unchanged (each axis at a zero gradient
+    or a step below half an ulp of v) reaches a fixed point, where every
+    later readout would repeat this one bit for bit. The ascent reads out no
+    more: the remaining records repeat this step's at the returned velocity
+    and ``final_iwe`` is this step's IWE, the outputs that all
+    ``cfg.iterations + 1`` readouts give.
     """
     n = len(batch)
     if n == 0:
@@ -122,5 +130,11 @@ def estimate_motion(
                 steps[axis] *= 0.5
             signs[axis] = sign
             pos[axis] += sign * steps[axis]
-        v = Velocity(*pos)
+        v, v_prev = Velocity(*pos), v
+        if v == v_prev:
+            # a fixed point: the next readout is this one, whose signs halve
+            # no step and move nowhere, so every later step repeats this row
+            records += [IterationRecord(k, v, c, g_vx, g_vy)
+                        for k in range(it + 1, cfg.iterations)]
+            break
     return v, OptimizationTrace(records, grid.iwe)

@@ -88,3 +88,18 @@ def scatter_iwe(warped: WarpedBatch, shape) -> IweScatter:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def readouts(monkeypatch):
+    """``readouts()`` is the number of IWE readouts (``IweScatter.scatter``
+    calls) made since the test started."""
+    calls = [0]
+    scatter = IweScatter.scatter
+
+    def counted(self, warped):
+        calls[0] += 1
+        scatter(self, warped)
+
+    monkeypatch.setattr(IweScatter, "scatter", counted)
+    return lambda: calls[0]

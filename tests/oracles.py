@@ -11,8 +11,12 @@ from typing import Iterator
 import numpy as np
 
 from evcm.events import EventParseError, EventValidationError
-from evcm.voting import PIPELINE_DEPTH, ROLES, ImageSet
-from evcm.warp import Velocity
+from evcm.objective import evaluate
+from evcm.optimizer import (
+    FIRST_STEP, IterationRecord, OptimizationError, OptimizationTrace,
+)
+from evcm.voting import PIPELINE_DEPTH, ROLES, ImageSet, IweScatter
+from evcm.warp import Velocity, warp_batch
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
@@ -140,6 +144,40 @@ def contrast_gradient_scalar(imgs) -> tuple[float, float, float]:
         d_mu = math.fsum(d) / n_p
         out.append(2.0 / n_p * math.fsum(c * (v - d_mu) for c, v in zip(centred, d)))
     return out[0], out[1], out[2]
+
+
+def every_iteration_ascent(batch, cfg, shape):
+    """``estimate_motion`` with no fixed-point exit: it reads the IWE out at
+    every one of the ``cfg.iterations`` steps and once more at the velocity
+    it returns, the last readout giving ``final_iwe``."""
+    grid = IweScatter(len(batch), shape)
+    v = cfg.v_init
+    steps = [FIRST_STEP, FIRST_STEP]
+    signs = [0, 0]
+    records = []
+    for it in range(cfg.iterations + 1):
+        grid.scatter(warp_batch(batch, v))
+        if not grid.in_bounds_mass > 0.0:
+            raise OptimizationError(
+                f"no vote mass inside the grid at iteration {it}, "
+                f"v = ({v.vx:.6g}, {v.vy:.6g}): the ascent diverged or "
+                f"started off the grid"
+            )
+        if it == cfg.iterations:
+            break
+        c, g_vx, g_vy = evaluate(grid)
+        if not (math.isfinite(g_vx) and math.isfinite(g_vy)):
+            raise OptimizationError(f"non-finite gradient at iteration {it}")
+        records.append(IterationRecord(it, v, c, g_vx, g_vy))
+        pos = [v.vx, v.vy]
+        for axis, g in enumerate((g_vx, g_vy)):
+            sign = (g > 0) - (g < 0)
+            if sign * signs[axis] < 0:
+                steps[axis] *= 0.5
+            signs[axis] = sign
+            pos[axis] += sign * steps[axis]
+        v = Velocity(*pos)
+    return v, OptimizationTrace(records, grid.iwe)
 
 
 class DatapathBank:

@@ -331,6 +331,24 @@ class TestEstimateCommand:
         assert all(b >= a - 1e-9 for a, b in zip(rising, rising[1:]))
         assert contrasts[-1] >= contrasts[0]
 
+    def test_rows_after_a_fixed_point_repeat_without_a_readout(
+            self, fixture_events, tmp_path, readouts):
+        # from this warm start both steps fall below half an ulp of v, so
+        # the velocity stops moving at row 88; the later rows repeat that
+        # row, and the ascent reads the IWE out no more
+        out = tmp_path / "est3"
+        rc = main(
+            ["estimate", "--input", str(fixture_events), "--batch-size", "2000",
+             "--roi-x0", "18", "--roi-y0", "68",
+             "--vx-init", "-2", "--vy-init", "1",
+             "--output-dir", str(out)]
+        )
+        assert rc == 0
+        rows = (out / "trace.csv").read_text(encoding="ascii").splitlines()[1:]
+        assert len(rows) == 100
+        assert len({row.split(",", 1)[1] for row in rows[88:]}) == 1
+        assert readouts() < 101
+
     @pytest.mark.parametrize("command,output", [("estimate", "trace.csv"),
                                                 ("track", "trajectory.csv")])
     def test_runaway_last_step_fails(self, tmp_path, command, output, capsys):

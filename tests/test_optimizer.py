@@ -14,7 +14,7 @@ from evcm.voting import BankedAccumulator
 from evcm.warp import Velocity, warp_batch
 
 from conftest import accumulate_images, event_array, random_interior_batch, scatter_iwe
-from oracles import contrast_gradient_scalar
+from oracles import contrast_gradient_scalar, every_iteration_ascent
 
 
 def small_scene_batch(velocity=(2.0, -1.5), seed=3, n=800, noise=0.0,
@@ -177,23 +177,83 @@ class TestFinalImageSet:
         assert v != trace.records[-1].v
 
 
-def minor_faults(batch, iterations):
-    """Minor page faults of one ``estimate_motion`` call."""
+def minor_faults(batch, iterations, readouts):
+    """Minor page faults and IWE readouts of one ``estimate_motion`` call."""
     cfg = OptimizerConfig(iterations=iterations)
+    start = readouts()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     estimate_motion(batch, cfg, shape=(64, 64))
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return faults, readouts() - start
 
 
 @pytest.mark.parametrize("n", [820, 9500])
-def test_ascent_steps_do_not_page_fault(rng, n):
+def test_ascent_steps_do_not_page_fault(rng, n, readouts):
     # a call first-touches its batch-sized buffers once (a few hundred
     # faults, cancelled by the T = 1 call); batch-sized temporaries made on
-    # every step would be handed back to the OS and faulted in again
+    # every readout would be handed back to the OS and faulted in again
     batch = random_interior_batch(rng, n)
-    minor_faults(batch, 100)  # warm-up
-    per_step = (minor_faults(batch, 100) - minor_faults(batch, 1)) / 99
-    assert per_step < 1.0
+    minor_faults(batch, 100, readouts)  # warm-up
+    faults, reads = minor_faults(batch, 100, readouts)
+    faults_1, reads_1 = minor_faults(batch, 1, readouts)
+    # an ascent stops reading out at a fixed point; enough readouts remain
+    # for a per-readout fault to show
+    assert reads >= 50
+    assert (faults - faults_1) / (reads - reads_1) < 1.0
+
+
+def flat_batch():
+    """Ten events at one timestamp: every normalized dt is 0, so every
+    gradient is exactly 0 and no step moves the velocity."""
+    return make_batch(event_array([5] * 10, list(range(10, 20)), [30] * 10))
+
+
+def scene_case(velocity, seed, n):
+    return small_scene_batch(velocity, seed, n, noise=0.05), OptimizerConfig()
+
+
+# case -> (batch, config); the scene velocities and seeds were fixed before
+# the test first ran, not chosen by its outcome
+EXIT_CASES = {
+    "n820-a": lambda: scene_case((3.1, -0.7), 4101, 820),
+    "n820-b": lambda: scene_case((-1.9, 2.6), 4102, 820),
+    "n9500-a": lambda: scene_case((0.8, 4.2), 4103, 9500),
+    "n9500-b": lambda: scene_case((-4.4, -2.3), 4104, 9500),
+    "warm-start-signed-zero": lambda: (
+        small_scene_batch(), OptimizerConfig(v_init=Velocity(-0.0, -0.0))),
+    "zero-gradient-signed-zero": lambda: (
+        flat_batch(), OptimizerConfig(iterations=4, v_init=Velocity(-0.0, -0.0))),
+    "T5": lambda: (small_scene_batch(), OptimizerConfig(iterations=5)),
+    "T300": lambda: (small_scene_batch(n=5000), OptimizerConfig(iterations=300)),
+}
+
+
+@pytest.mark.parametrize("case", list(EXIT_CASES))
+def test_fixed_point_exit_matches_every_iteration_ascent(case, readouts):
+    # stopping the readouts at a fixed point changes no output: the trace,
+    # the returned velocity (signed zeros too) and the final IWE are those
+    # of the ascent that reads out at all T + 1 velocities
+    batch, cfg = EXIT_CASES[case]()
+    v, trace = estimate_motion(batch, cfg, shape=(64, 64))
+    reads = readouts()
+    v_ref, ref = every_iteration_ascent(batch, cfg, shape=(64, 64))
+    assert trace.to_csv() == ref.to_csv()
+    assert repr(v) == repr(v_ref)
+    assert trace.final_iwe.tobytes() == ref.final_iwe.tobytes()
+    if case == "T5":  # each of its steps moves v by at least 1/16
+        assert reads == cfg.iterations + 1
+
+
+@pytest.mark.parametrize("batch,cfg", [
+    (small_scene_batch(), OptimizerConfig(iterations=3, v_init=Velocity(1e6, 0.0))),
+    (edge_pair_batch(t_last_us=5), OptimizerConfig(iterations=5)),
+], ids=["off-the-grid-start", "runaway-first-step"])
+def test_runaway_matches_every_iteration_ascent(batch, cfg):
+    with pytest.raises(OptimizationError) as got:
+        estimate_motion(batch, cfg, shape=(64, 64))
+    with pytest.raises(OptimizationError) as ref:
+        every_iteration_ascent(batch, cfg, shape=(64, 64))
+    assert str(got.value) == str(ref.value)
 
 
 # Recovery from v = 0 with the default config, on seeds no step rule was
