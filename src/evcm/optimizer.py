@@ -38,7 +38,8 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    iteration: int
+    """One ascent step; its position in the trace's records is its iteration."""
+
     v: Velocity          # velocity the images were generated at
     contrast: float
     grad_vx: float
@@ -65,9 +66,9 @@ class OptimizationTrace:
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("iteration,vx,vy,contrast,grad_vx,grad_vy\n")
-        for r in self.records:
+        for i, r in enumerate(self.records):
             buf.write(
-                f"{r.iteration},{r.v.vx!r},{r.v.vy!r},{r.contrast!r},"
+                f"{i},{r.v.vx!r},{r.v.vy!r},{r.contrast!r},"
                 f"{r.grad_vx!r},{r.grad_vy!r}\n"
             )
         return buf.getvalue()
@@ -122,7 +123,7 @@ def estimate_motion(
         c, g_vx, g_vy = evaluate(grid)
         if not (math.isfinite(g_vx) and math.isfinite(g_vy)):
             raise OptimizationError(f"non-finite gradient at iteration {it}")
-        records.append(IterationRecord(it, v, c, g_vx, g_vy))
+        records.append(IterationRecord(v, c, g_vx, g_vy))
         pos = [v.vx, v.vy]
         for axis, g in enumerate((g_vx, g_vy)):
             sign = (g > 0) - (g < 0)
@@ -134,7 +135,6 @@ def estimate_motion(
         if v == v_prev:
             # a fixed point: the next readout is this one, whose signs halve
             # no step and move nowhere, so every later step repeats this row
-            records += [IterationRecord(k, v, c, g_vx, g_vy)
-                        for k in range(it + 1, cfg.iterations)]
+            records += [IterationRecord(v, c, g_vx, g_vy)] * (cfg.iterations - it - 1)
             break
     return v, OptimizationTrace(records, grid.iwe)

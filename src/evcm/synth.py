@@ -54,6 +54,8 @@ class SceneConfig:
             raise ValueError(f"object_size must be >= 1, got {self.object_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 <= self.edge_jitter < np.inf:  # False for NaN too
+            raise ValueError(f"edge_jitter must be >= 0 and finite, got {self.edge_jitter}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +133,14 @@ def _sample_offsets(cfg: SceneConfig, rng: np.random.Generator, n: int) -> np.nd
 
 
 def generate_scene(cfg: SceneConfig) -> SyntheticScene:
-    """Deterministic scene generation for a given seed."""
+    """Deterministic scene generation for a given seed.
+
+    Events fill a (batches, events_per_batch) block, one row per batch. Each
+    batch draws, in this order: its times, its noise picks, its structure
+    offsets and its noise coordinates. The polarity of every event in the
+    block is drawn last, in one draw, before the events off the sensor are
+    dropped, so the drop changes no draw.
+    """
     rng = np.random.default_rng(cfg.seed)
     sw, sh = cfg.sensor
     d = float(cfg.batch_duration_us)
@@ -139,37 +148,25 @@ def generate_scene(cfg: SceneConfig) -> SyntheticScene:
     ux = 2.0 * cfg.velocity[0] / d
     uy = 2.0 * cfg.velocity[1] / d
 
-    all_t: list[np.ndarray] = []
-    all_x: list[np.ndarray] = []
-    all_y: list[np.ndarray] = []
-    all_noise: list[np.ndarray] = []
-    all_on: list[np.ndarray] = []
+    n = cfg.events_per_batch
+    n_noise = int(round(cfg.noise_fraction * n))
+    times = np.empty((cfg.batches, n))
+    x = np.empty((cfg.batches, n), dtype=np.int64)
+    y = np.empty((cfg.batches, n), dtype=np.int64)
+    noise = np.zeros((cfg.batches, n), dtype=bool)
     centers = []
-    n_total = cfg.events_per_batch
-    n_noise = int(round(cfg.noise_fraction * n_total))
-    n_signal = n_total - n_noise
     for b in range(cfg.batches):
         t0 = b * cfg.batch_duration_us
-        times = np.sort(rng.uniform(t0, t0 + d, size=n_total))
-        noise_mask = np.zeros(n_total, dtype=bool)
-        if n_noise:
-            noise_mask[rng.choice(n_total, size=n_noise, replace=False)] = True
-        cx = cfg.start[0] + ux * times
-        cy = cfg.start[1] + uy * times
-        offs = _sample_offsets(cfg, rng, n_total)
-        x = np.rint(cx + offs[:, 0]).astype(np.int64)
-        y = np.rint(cy + offs[:, 1]).astype(np.int64)
-        if n_noise:
-            x[noise_mask] = rng.integers(0, sw, size=n_noise)
-            y[noise_mask] = rng.integers(0, sh, size=n_noise)
-        # events off the sensor are dropped, not clipped to its edge; the
-        # polarity draw below still covers them, so the drop changes no draw
-        on = (x >= 0) & (x < sw) & (y >= 0) & (y < sh)
-        all_on.append(on)
-        all_t.append(np.rint(times[on]).astype(np.int64))
-        all_x.append(x[on])
-        all_y.append(y[on])
-        all_noise.append(noise_mask[on])
+        times[b] = np.sort(rng.uniform(t0, t0 + d, size=n))
+        # a draw of size 0 takes nothing from the stream: noise 0 needs no branch
+        noise[b, rng.choice(n, size=n_noise, replace=False)] = True
+        cx = cfg.start[0] + ux * times[b]
+        cy = cfg.start[1] + uy * times[b]
+        offs = _sample_offsets(cfg, rng, n)
+        x[b] = np.rint(cx + offs[:, 0])
+        y[b] = np.rint(cy + offs[:, 1])
+        x[b, noise[b]] = rng.integers(0, sw, size=n_noise)
+        y[b, noise[b]] = rng.integers(0, sh, size=n_noise)
         t_end = t0 + d
         centers.append(
             {
@@ -180,20 +177,18 @@ def generate_scene(cfg: SceneConfig) -> SyntheticScene:
             }
         )
 
-    ts = np.concatenate(all_t)
-    xs = np.concatenate(all_x)
-    ys = np.concatenate(all_y)
-    noise = np.concatenate(all_noise)
-    on = np.concatenate(all_on)
-    ps = np.where(rng.integers(0, 2, size=len(on)) == 0, -1, 1).astype(np.int8)[on]
+    # events off the sensor are dropped, not clipped to its edge
+    on = (x >= 0) & (x < sw) & (y >= 0) & (y < sh)
+    ps = np.where(rng.integers(0, 2, size=on.shape) == 0, -1, 1).astype(np.int8)
+    ts = np.rint(times[on]).astype(np.int64)
     truth = {
         "config": {**asdict(cfg)},
         "velocity_norm": list(cfg.velocity),
         "velocity_px_per_us": [ux, uy],
         "start": list(cfg.start),
         "centers": centers,
-        "noise_indices": np.flatnonzero(noise).tolist(),
+        "noise_indices": np.flatnonzero(noise[on]).tolist(),
         "n_events": int(len(ts)),
-        "n_off_sensor": int(len(on) - len(ts)),
+        "n_off_sensor": int(on.size - len(ts)),
     }
-    return SyntheticScene(ts, xs, ys, ps, noise, truth)
+    return SyntheticScene(ts, x[on], y[on], ps[on], noise[on], truth)

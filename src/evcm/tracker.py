@@ -57,7 +57,8 @@ class TrackerConfig:
 
 @dataclass(frozen=True)
 class BatchRecord:
-    batch_index: int
+    """One batch; its position in the result's records is its batch index."""
+
     roi: Roi                 # ROI the batch was filtered with (pre-update)
     velocity: Velocity
     contrast: float          # nan when optimization was skipped
@@ -75,9 +76,9 @@ class TrackResult:
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("batch,x_roi,y_roi,vx,vy,contrast,events_in_roi\n")
-        for r in self.records:
+        for i, r in enumerate(self.records):
             buf.write(
-                f"{r.batch_index},{r.roi.x0!r},{r.roi.y0!r},"
+                f"{i},{r.roi.x0!r},{r.roi.y0!r},"
                 f"{r.velocity.vx!r},{r.velocity.vy!r},{r.contrast!r},"
                 f"{r.events_in_roi}\n"
             )
@@ -111,7 +112,6 @@ def track(events: EventArray, cfg: TrackerConfig) -> TrackResult:
     roi = cfg.roi_init
     v = cfg.optimizer.v_init
     records: list[BatchRecord] = []
-    batch_index = 0
     for start in range(0, len(events), cfg.batch_size):
         chunk = events[start : start + cfg.batch_size]
         if len(chunk) < cfg.batch_size and len(chunk) < cfg.min_roi_events:
@@ -126,8 +126,7 @@ def track(events: EventArray, cfg: TrackerConfig) -> TrackResult:
             v, trace = estimate_motion(in_roi, opt_cfg, shape=(roi.w, roi.h))
             contrast_val = trace.final_contrast
             if dump_dir is not None:
-                write_pgm(trace.final_iwe, dump_dir / f"iwe_{batch_index:04d}.pgm")
-        records.append(BatchRecord(batch_index, roi, v, contrast_val, n))
+                write_pgm(trace.final_iwe, dump_dir / f"iwe_{len(records):04d}.pgm")
+        records.append(BatchRecord(roi, v, contrast_val, n))
         roi = update_roi(roi, v, cfg.roi_update_scale, sensor=sensor)
-        batch_index += 1
     return TrackResult(records=records, final_roi=roi)

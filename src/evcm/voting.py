@@ -304,6 +304,8 @@ class BankedAccumulator:
     def _per_bank(self, which: int, role: str) -> tuple[int, int, int, int]:
         """Row ``which`` of the ``_hazards`` counts for one role's banks,
         over the windows read out and the one still open."""
+        if role not in ROLES:
+            raise ValueError(f"unknown image role {role!r}, expected one of {ROLES}")
         counts = self._closed + _hazards(self.shape, *_stream(self._window))
         k = 4 * ROLES.index(role)
         return tuple(counts[which, k:k + 4].tolist())  # type: ignore[return-value]

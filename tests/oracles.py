@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -15,6 +15,7 @@ from evcm.objective import evaluate
 from evcm.optimizer import (
     FIRST_STEP, IterationRecord, OptimizationError, OptimizationTrace,
 )
+from evcm.synth import SceneConfig, SyntheticScene, _sample_offsets
 from evcm.voting import PIPELINE_DEPTH, ROLES, ImageSet, IweScatter
 from evcm.warp import Velocity, warp_batch
 
@@ -168,7 +169,7 @@ def every_iteration_ascent(batch, cfg, shape):
         c, g_vx, g_vy = evaluate(grid)
         if not (math.isfinite(g_vx) and math.isfinite(g_vy)):
             raise OptimizationError(f"non-finite gradient at iteration {it}")
-        records.append(IterationRecord(it, v, c, g_vx, g_vy))
+        records.append(IterationRecord(v, c, g_vx, g_vy))
         pos = [v.vx, v.vy]
         for axis, g in enumerate((g_vx, g_vy)):
             sign = (g > 0) - (g < 0)
@@ -178,6 +179,76 @@ def every_iteration_ascent(batch, cfg, shape):
             pos[axis] += sign * steps[axis]
         v = Velocity(*pos)
     return v, OptimizationTrace(records, grid.iwe)
+
+
+def generate_scene_per_batch(cfg: SceneConfig) -> SyntheticScene:
+    """``generate_scene`` batch by batch: each batch's columns go to a list
+    of their own, which is concatenated at the end. Its bytes are the ones
+    every scene, and so every benchmark input, must keep."""
+    rng = np.random.default_rng(cfg.seed)
+    sw, sh = cfg.sensor
+    d = float(cfg.batch_duration_us)
+    # px per microsecond; one batch spans 2 normalized units
+    ux = 2.0 * cfg.velocity[0] / d
+    uy = 2.0 * cfg.velocity[1] / d
+
+    all_t: list[np.ndarray] = []
+    all_x: list[np.ndarray] = []
+    all_y: list[np.ndarray] = []
+    all_noise: list[np.ndarray] = []
+    all_on: list[np.ndarray] = []
+    centers = []
+    n_total = cfg.events_per_batch
+    n_noise = int(round(cfg.noise_fraction * n_total))
+    for b in range(cfg.batches):
+        t0 = b * cfg.batch_duration_us
+        times = np.sort(rng.uniform(t0, t0 + d, size=n_total))
+        noise_mask = np.zeros(n_total, dtype=bool)
+        if n_noise:
+            noise_mask[rng.choice(n_total, size=n_noise, replace=False)] = True
+        cx = cfg.start[0] + ux * times
+        cy = cfg.start[1] + uy * times
+        offs = _sample_offsets(cfg, rng, n_total)
+        x = np.rint(cx + offs[:, 0]).astype(np.int64)
+        y = np.rint(cy + offs[:, 1]).astype(np.int64)
+        if n_noise:
+            x[noise_mask] = rng.integers(0, sw, size=n_noise)
+            y[noise_mask] = rng.integers(0, sh, size=n_noise)
+        # events off the sensor are dropped, not clipped to its edge; the
+        # polarity draw below still covers them, so the drop changes no draw
+        on = (x >= 0) & (x < sw) & (y >= 0) & (y < sh)
+        all_on.append(on)
+        all_t.append(np.rint(times[on]).astype(np.int64))
+        all_x.append(x[on])
+        all_y.append(y[on])
+        all_noise.append(noise_mask[on])
+        t_end = t0 + d
+        centers.append(
+            {
+                "batch": b,
+                "t_end_us": t_end,
+                "cx": cfg.start[0] + ux * t_end,
+                "cy": cfg.start[1] + uy * t_end,
+            }
+        )
+
+    ts = np.concatenate(all_t)
+    xs = np.concatenate(all_x)
+    ys = np.concatenate(all_y)
+    noise = np.concatenate(all_noise)
+    on = np.concatenate(all_on)
+    ps = np.where(rng.integers(0, 2, size=len(on)) == 0, -1, 1).astype(np.int8)[on]
+    truth = {
+        "config": {**asdict(cfg)},
+        "velocity_norm": list(cfg.velocity),
+        "velocity_px_per_us": [ux, uy],
+        "start": list(cfg.start),
+        "centers": centers,
+        "noise_indices": np.flatnonzero(noise).tolist(),
+        "n_events": int(len(ts)),
+        "n_off_sensor": int(len(on) - len(ts)),
+    }
+    return SyntheticScene(ts, xs, ys, ps, noise, truth)
 
 
 class DatapathBank:

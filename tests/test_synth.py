@@ -10,7 +10,7 @@ from evcm.events import make_batch
 from evcm.synth import SceneConfig, SyntheticScene, generate_scene
 from evcm.warp import Velocity, warp_batch
 
-from oracles import write_events_scalar
+from oracles import generate_scene_per_batch, write_events_scalar
 
 
 class TestConfigValidation:
@@ -36,11 +36,14 @@ class TestConfigValidation:
         [("velocity", (float("nan"), -2.0)), ("velocity", (3.0, float("-inf"))),
          ("start", (120.0, float("inf"))), ("start", (float("nan"), 90.0)),
          ("batch_duration_us", 0), ("batch_duration_us", -5),
-         ("object_size", 0), ("object_size", -5), ("seed", -1)],
+         ("object_size", 0), ("object_size", -5), ("seed", -1),
+         ("edge_jitter", -1.5), ("edge_jitter", float("nan")),
+         ("edge_jitter", float("inf"))],
     )
     def test_unusable_scene_rejected(self, field, value):
         # a NaN centre piles every event on one border column, a zero
-        # duration divides by zero, and a negative size mirrors the object
+        # duration divides by zero, a negative size mirrors the object, and
+        # a negative or non-finite jitter fails only inside the offset draw
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SceneConfig(**{field: value})
 
@@ -162,3 +165,45 @@ class TestGenerateScene:
         evs = parse_events(path, sensor_size=(240, 180))
         assert len(evs) == 10
         assert set(evs.ps.tolist()) <= {-1, 1}
+
+
+# Every scene shape, noise 0, 0.05 and 1.0, one batch and several, zero
+# jitter, events dropped off the sensor's edges, and the shapes the
+# benchmark generates its inputs from: track-file's 5 x 10k square at 5%
+# noise, and paper-point's 800-event noiseless square with its 4200-event
+# ``points`` distractor at 5% noise.
+PER_BATCH_CONFIGS = [
+    SceneConfig(scene="square", batches=1, events_per_batch=3000, seed=1),
+    SceneConfig(scene="bar", velocity=(-4.0, 5.0), batches=6,
+                events_per_batch=2000, noise_fraction=0.05, seed=2),
+    SceneConfig(scene="points", velocity=(1.5, 4.5), batches=5,
+                events_per_batch=1500, noise_fraction=1.0, seed=3),
+    SceneConfig(scene="points", velocity=(-2.0, -1.0), object_size=30, batches=2,
+                events_per_batch=2500, edge_jitter=0.0, seed=4),
+    SceneConfig(scene="square", velocity=(5.0, 5.0), start=(230.0, 170.0),
+                batches=5, events_per_batch=2000, noise_fraction=0.05, seed=5),
+    SceneConfig(scene="bar", velocity=(-5.0, -3.0), start=(4.0, 6.0),
+                object_size=24, batches=1, events_per_batch=3000, seed=6),
+    SceneConfig(scene="square", velocity=(5.0, 0.0), start=(60.0, 32.0),
+                object_size=24, batches=3, events_per_batch=3000,
+                noise_fraction=0.05, seed=6, sensor=(64, 64)),
+    SceneConfig(scene="square", velocity=(3.0, -2.0), start=(50.0, 100.0),
+                object_size=24, batches=5, events_per_batch=10_000,
+                noise_fraction=0.05, seed=1_608_637_542),
+    SceneConfig(scene="square", velocity=(-3.7, 2.2), start=(61.5, 97.3),
+                object_size=24, events_per_batch=800, seed=123_456_789),
+    SceneConfig(scene="points", velocity=(1.9, -4.4), start=(181.2, 77.7),
+                object_size=30, events_per_batch=4200, noise_fraction=0.05,
+                seed=987_654_321),
+]
+
+
+@pytest.mark.parametrize("cfg", PER_BATCH_CONFIGS, ids=range(len(PER_BATCH_CONFIGS)))
+def test_scene_bytes_match_per_batch_generator(cfg):
+    # the benchmark's inputs are generated scenes: their bytes must not move
+    got = generate_scene(cfg)
+    want = generate_scene_per_batch(cfg)
+    for name in ("ts", "xs", "ys", "ps", "noise_mask"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert json.dumps(got.truth, sort_keys=True) == json.dumps(want.truth, sort_keys=True)

@@ -106,8 +106,8 @@ class TestTrack:
             batch_size=2000, roi_init=Roi(18, 68, 64, 64), roi_update_scale=2.0
         )
         res = track(sc, cfg)
-        for rec in res.records:
-            start = rec.batch_index * cfg.batch_size
+        for i, rec in enumerate(res.records):
+            start = i * cfg.batch_size
             batch = filter_roi(make_batch(sc[start : start + cfg.batch_size]), rec.roi)
             imgs = accumulate_images(warp_batch(batch, rec.velocity), (64, 64))
             assert rec.contrast == contrast(imgs.iwe)[0]
@@ -191,3 +191,21 @@ class TestTrack:
         track(sc, cfg)
         assert (tmp_path / "iwe_0000.pgm").exists()
         assert (tmp_path / "iwe_0001.pgm").exists()
+
+    def test_iwe_dump_names_follow_batches_across_a_skip(self, tmp_path):
+        # the middle batch fires in the far corner, outside the ROI, so it
+        # skips its ascent and writes no image; batch 2 keeps its own number
+        sc = scene_events(batches=3, noise=0.0)
+        xs = sc.xs.copy()
+        ys = sc.ys.copy()
+        xs[2000:4000] = 235
+        ys[2000:4000] = 175
+        evs = event_array(sc.ts, xs, ys, sc.ps)
+        cfg = TrackerConfig(batch_size=2000, roi_init=Roi(18, 68, 64, 64),
+                            roi_update_scale=2.0, dump_iwe_dir=tmp_path)
+        res = track(evs, cfg)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["iwe_0000.pgm", "iwe_0002.pgm"]
+        rows = [line.split(",") for line in res.to_csv().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["0", "1", "2"]
+        assert rows[1][5] == "nan" and rows[1][6] == "0"
+        assert rows[0][5] != "nan" and rows[2][5] != "nan"

@@ -171,6 +171,12 @@ class TestBankedEquivalence:
         with pytest.raises(VotingConfigError):
             BankedAccumulator((7, 8))
 
+    @pytest.mark.parametrize("counter", ["bank_occupancy", "forwarding_hits"])
+    def test_unknown_role_rejected(self, counter):
+        acc = BankedAccumulator((8, 8))
+        with pytest.raises(ValueError, match=r"'bogus'.*\('iwe', 'd_vx', 'd_vy'\)"):
+            getattr(acc, counter)("bogus")
+
     def test_counters_run_on_across_readouts(self):
         # the pipelines drain on read, so the second pass's first updates
         # hit nothing carried over from the first
