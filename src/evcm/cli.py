@@ -162,7 +162,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if cfg.dump_iwe_dir is not None:
         write_pgm(trace.final_iwe, out_dir / "iwe_final.pgm")
     print(
-        f"iterations: {len(trace)}  v = ({v.vx:.4f}, {v.vy:.4f})  "
+        f"iterations: {len(trace)}  readouts: {trace.readouts}  "
+        f"v = ({v.vx:.4f}, {v.vy:.4f})  "
         f"contrast: {trace.final_contrast:.6g}"
     )
     return 0

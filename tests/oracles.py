@@ -13,7 +13,7 @@ import numpy as np
 from evcm.events import EventParseError, EventValidationError
 from evcm.objective import evaluate
 from evcm.optimizer import (
-    FIRST_STEP, IterationRecord, OptimizationError, OptimizationTrace,
+    FIRST_STEP, LEAST_STEP, IterationRecord, OptimizationError, OptimizationTrace,
 )
 from evcm.synth import SceneConfig, SyntheticScene, _sample_offsets
 from evcm.voting import PIPELINE_DEPTH, ROLES, ImageSet, IweScatter
@@ -150,8 +150,11 @@ def contrast_gradient_scalar(imgs) -> tuple[float, float, float]:
 def every_iteration_ascent(batch, cfg, shape):
     """``estimate_motion`` with no fixed-point exit: it reads the IWE out at
     every one of the ``cfg.iterations`` steps and once more at the velocity
-    it returns, the last readout giving ``final_iwe``."""
+    it returns, the last readout giving ``final_iwe``. Once both steps are
+    below ``LEAST_STEP`` after a step's moves, both stay 0 and every later
+    readout is at the same velocity."""
     grid = IweScatter(len(batch), shape)
+    w, h = shape
     v = cfg.v_init
     steps = [FIRST_STEP, FIRST_STEP]
     signs = [0, 0]
@@ -163,6 +166,12 @@ def every_iteration_ascent(batch, cfg, shape):
                 f"no vote mass inside the grid at iteration {it}, "
                 f"v = ({v.vx:.6g}, {v.vy:.6g}): the ascent diverged or "
                 f"started off the grid"
+            )
+        if abs(v.vx) > w or abs(v.vy) > h:
+            raise OptimizationError(
+                f"velocity beyond the {w}x{h} grid at iteration {it}, "
+                f"v = ({v.vx:.6g}, {v.vy:.6g}) px per half-span: the ascent "
+                f"diverged or started off the grid"
             )
         if it == cfg.iterations:
             break
@@ -177,8 +186,10 @@ def every_iteration_ascent(batch, cfg, shape):
                 steps[axis] *= 0.5
             signs[axis] = sign
             pos[axis] += sign * steps[axis]
+        if steps[0] < LEAST_STEP and steps[1] < LEAST_STEP:
+            steps = [0.0, 0.0]
         v = Velocity(*pos)
-    return v, OptimizationTrace(records, grid.iwe)
+    return v, OptimizationTrace(records, grid.iwe, cfg.iterations + 1)
 
 
 def generate_scene_per_batch(cfg: SceneConfig) -> SyntheticScene:

@@ -332,10 +332,10 @@ class TestEstimateCommand:
         assert contrasts[-1] >= contrasts[0]
 
     def test_rows_after_a_fixed_point_repeat_without_a_readout(
-            self, fixture_events, tmp_path, readouts):
-        # from this warm start both steps fall below half an ulp of v, so
-        # the velocity stops moving at row 88; the later rows repeat that
-        # row, and the ascent reads the IWE out no more
+            self, fixture_events, tmp_path, readouts, capsys):
+        # from this warm start both steps are below LEAST_STEP after row 15's
+        # step, so the velocity stops moving at row 16; the later rows repeat
+        # that row, and the readout at row 16 is the last
         out = tmp_path / "est3"
         rc = main(
             ["estimate", "--input", str(fixture_events), "--batch-size", "2000",
@@ -346,8 +346,11 @@ class TestEstimateCommand:
         assert rc == 0
         rows = (out / "trace.csv").read_text(encoding="ascii").splitlines()[1:]
         assert len(rows) == 100
-        assert len({row.split(",", 1)[1] for row in rows[88:]}) == 1
-        assert readouts() < 101
+        held = [row.split(",", 1)[1] for row in rows]
+        assert held[15] != held[16]
+        assert len(set(held[16:])) == 1
+        assert readouts() == 17
+        assert capsys.readouterr().out.startswith("iterations: 100  readouts: 17  v = (")
 
     @pytest.mark.parametrize("command,output", [("estimate", "trace.csv"),
                                                 ("track", "trajectory.csv")])

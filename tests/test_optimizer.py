@@ -8,7 +8,9 @@ import pytest
 
 from evcm.events import make_batch
 from evcm.objective import contrast, evaluate
-from evcm.optimizer import OptimizationError, OptimizerConfig, estimate_motion
+from evcm.optimizer import (
+    LEAST_STEP, OptimizationError, OptimizerConfig, estimate_motion,
+)
 from evcm.synth import SceneConfig, generate_scene
 from evcm.voting import BankedAccumulator
 from evcm.warp import Velocity, warp_batch
@@ -81,6 +83,16 @@ class TestEstimateMotion:
         with pytest.raises(OptimizationError, match="iteration 0"):
             estimate_motion(batch, cfg, shape=(64, 64))
 
+    def test_warm_start_beyond_the_grid_raises(self):
+        # at vx = 70 px per half-span the events near the batch's middle
+        # still vote on the 64x64 grid, so only the velocity shows the runaway
+        batch = small_scene_batch()
+        v0 = Velocity(70.0, 0.0)
+        assert scatter_iwe(warp_batch(batch, v0), (64, 64)).in_bounds_mass > 0.0
+        with pytest.raises(OptimizationError,
+                           match=r"beyond the 64x64 grid at iteration 0, v = \(70, 0\)"):
+            estimate_motion(batch, OptimizerConfig(iterations=3, v_init=v0), shape=(64, 64))
+
     def test_single_step_contract(self, rng):
         # the first step moves each axis by 1 px per half-span toward its
         # gradient's sign
@@ -99,26 +111,37 @@ class TestEstimateMotion:
     def test_step_halves_exactly_at_a_sign_flip(self):
         # from a standing start each axis moves by 2^-k px per half-span
         # toward its gradient's sign; the step never grows and halves exactly
-        # when the sign flips (30 steps keep every velocity exact in binary)
+        # when the sign flips, down to the step after which both steps are
+        # below LEAST_STEP; every later step moves nothing, v holds, and the
+        # readout after the floor is the last (30 steps keep every velocity
+        # exact in binary)
         batch = small_scene_batch(velocity=(2.0, -1.5), n=5000)
-        v, trace = estimate_motion(batch, OptimizerConfig(iterations=30), shape=(64, 64))
+        cfg = OptimizerConfig(iterations=30)
+        v, trace = estimate_motion(batch, cfg, shape=(64, 64))
         path = [(r.v.vx, r.v.vy) for r in trace.records] + [(v.vx, v.vy)]
+        moves = [[b[axis] - a[axis] for a, b in zip(path, path[1:])] for axis in (0, 1)]
+        floor = next(k for k in range(cfg.iterations)
+                     if abs(moves[0][k]) < LEAST_STEP and abs(moves[1][k]) < LEAST_STEP)
+        assert floor < cfg.iterations - 2
         for axis in (0, 1):
             grads = [(r.grad_vx, r.grad_vy)[axis] for r in trace.records]
             assert all(g != 0.0 for g in grads)
-            moves = [b[axis] - a[axis] for a, b in zip(path, path[1:])]
-            for g, move in zip(grads, moves):
+            axis_moves = moves[axis]
+            for g, move in zip(grads[:floor + 1], axis_moves):
                 assert math.copysign(1.0, move) == math.copysign(1.0, g)
                 assert math.frexp(abs(move))[0] == 0.5  # a power of two
-            assert abs(moves[0]) == 1.0
+            assert abs(axis_moves[0]) == 1.0
             flips = 0
-            for k in range(1, len(moves)):
+            for k in range(1, floor + 1):
                 if (grads[k] > 0) != (grads[k - 1] > 0):
                     flips += 1
-                    assert abs(moves[k]) == abs(moves[k - 1]) / 2
+                    assert abs(axis_moves[k]) == abs(axis_moves[k - 1]) / 2
                 else:
-                    assert abs(moves[k]) == abs(moves[k - 1])
+                    assert abs(axis_moves[k]) == abs(axis_moves[k - 1])
             assert flips >= 2
+            assert all(move == 0.0 for move in axis_moves[floor + 1:])
+        assert path[floor + 1:] == [(v.vx, v.vy)] * (cfg.iterations - floor)
+        assert trace.readouts == floor + 2
 
     def test_trace_lengths_and_work_counters(self, rng):
         batch = random_interior_batch(rng, 60, grid=(16, 16), margin=2)
@@ -177,9 +200,19 @@ class TestFinalImageSet:
         assert v != trace.records[-1].v
 
 
+def still_point_batch(n):
+    """n events of one point at rest at the 64x64 grid's centre, evenly
+    spread over a 20 ms batch. Warped at v, they lie on a line of length
+    2·|v| px through the centre, so an ascent started far off walks back in
+    unit steps, one readout each."""
+    ts = np.linspace(0, 20_000, n).round().astype(np.int64)
+    return make_batch(event_array(ts, [32] * n, [32] * n))
+
+
 def minor_faults(batch, iterations, readouts):
-    """Minor page faults and IWE readouts of one ``estimate_motion`` call."""
-    cfg = OptimizerConfig(iterations=iterations)
+    """Minor page faults and IWE readouts of one ``estimate_motion`` call
+    from v = (-50, 0)."""
+    cfg = OptimizerConfig(iterations=iterations, v_init=Velocity(-50.0, 0.0))
     start = readouts()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     estimate_motion(batch, cfg, shape=(64, 64))
@@ -188,16 +221,16 @@ def minor_faults(batch, iterations, readouts):
 
 
 @pytest.mark.parametrize("n", [820, 9500])
-def test_ascent_steps_do_not_page_fault(rng, n, readouts):
+def test_ascent_steps_do_not_page_fault(n, readouts):
     # a call first-touches its batch-sized buffers once (a few hundred
     # faults, cancelled by the T = 1 call); batch-sized temporaries made on
     # every readout would be handed back to the OS and faulted in again
-    batch = random_interior_batch(rng, n)
+    batch = still_point_batch(n)
     minor_faults(batch, 100, readouts)  # warm-up
     faults, reads = minor_faults(batch, 100, readouts)
     faults_1, reads_1 = minor_faults(batch, 1, readouts)
-    # an ascent stops reading out at a fixed point; enough readouts remain
-    # for a per-readout fault to show
+    # an ascent stops reading out once both steps bottom out; the walk back
+    # from v = (-50, 0) leaves enough readouts for a per-readout fault to show
     assert reads >= 50
     assert (faults - faults_1) / (reads - reads_1) < 1.0
 
@@ -240,14 +273,29 @@ def test_fixed_point_exit_matches_every_iteration_ascent(case, readouts):
     assert trace.to_csv() == ref.to_csv()
     assert repr(v) == repr(v_ref)
     assert trace.final_iwe.tobytes() == ref.final_iwe.tobytes()
+    assert trace.readouts == reads
     if case == "T5":  # each of its steps moves v by at least 1/16
         assert reads == cfg.iterations + 1
+
+
+def test_ascent_on_a_cusp_axis_stops_reading_out(readouts):
+    # at vy = 0 the integer event rows vote with no bilinear spread, a cusp
+    # maximum of the contrast that pulls this scene's vy (truth 0.23) to
+    # about 0; half an ulp of v is far below any step there, so no step
+    # leaves v exactly unchanged, and only the floor ends the readouts
+    batch = small_scene_batch((-2.2154537560890706, 0.2279149202038333), 1511154994, 820,
+                              noise=0.05)
+    cfg = OptimizerConfig()
+    _, trace = estimate_motion(batch, cfg, shape=(64, 64))
+    assert readouts() == trace.readouts < cfg.iterations + 1
+    assert len(trace) == cfg.iterations
 
 
 @pytest.mark.parametrize("batch,cfg", [
     (small_scene_batch(), OptimizerConfig(iterations=3, v_init=Velocity(1e6, 0.0))),
     (edge_pair_batch(t_last_us=5), OptimizerConfig(iterations=5)),
-], ids=["off-the-grid-start", "runaway-first-step"])
+    (small_scene_batch(), OptimizerConfig(iterations=3, v_init=Velocity(70.0, 0.0))),
+], ids=["off-the-grid-start", "runaway-first-step", "beyond-the-grid-start"])
 def test_runaway_matches_every_iteration_ascent(batch, cfg):
     with pytest.raises(OptimizationError) as got:
         estimate_motion(batch, cfg, shape=(64, 64))
@@ -297,9 +345,12 @@ def test_standing_start_recovery_on_unselected_seeds():
 def test_ascent_settles_on_a_zero_velocity_axis(velocity, seed):
     # a step proportional to the gradient swings around the peak of an axis
     # whose true velocity is 0; the halving step settles, so the returned
-    # velocity is not a sample of the swing
+    # velocity is not a sample of the swing, and the ascent stops reading
+    # out before the cap
     batch = small_scene_batch(velocity, seed, 10_000, noise=0.05)
-    v, trace = estimate_motion(batch, OptimizerConfig(), shape=(64, 64))
+    cfg = OptimizerConfig()
+    v, trace = estimate_motion(batch, cfg, shape=(64, 64))
+    assert trace.readouts < cfg.iterations + 1
     tail = [r.v for r in trace.records[-10:]] + [v]
     for axis in ("vx", "vy"):
         values = [getattr(u, axis) for u in tail]
