@@ -13,6 +13,7 @@ changes the time scale.
 from __future__ import annotations
 
 import io
+import math
 import re
 import warnings
 from dataclasses import dataclass, replace
@@ -65,6 +66,8 @@ class Roi:
     h: int
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.x0) and math.isfinite(self.y0)):
+            raise ValueError(f"ROI origin ({self.x0}, {self.y0}) must lie in the finite plane")
         if self.w < 2 or self.h < 2:
             raise ValueError(f"ROI must be at least 2x2, got {self.w}x{self.h}")
 

@@ -1,4 +1,7 @@
-"""Variance contrast objective and its analytic velocity gradient."""
+"""Variance contrast C = Σ_p (I[p] − μ)²/P of the IWE I over its P pixels,
+and its analytic velocity gradient: by the chain rule ∂C/∂v =
+(2/P)·Σ_p (I[p] − μ)·(∂I[p]/∂v − ∂μ/∂v), where μ's derivative drops out as
+I − μ sums to 0, leaving 2/P times ``IweScatter.gather(I − μ)``."""
 
 from __future__ import annotations
 
@@ -20,7 +23,8 @@ def contrast(iwe: np.ndarray) -> tuple[float, float]:
 
 
 def evaluate(s: IweScatter) -> tuple[float, float, float]:
-    """Contrast and its (vx, vy) gradient from the IWE ``s`` last scattered:
-    ``contrast(s.iwe)[0]`` and ``s.gradient`` at the IWE's mean."""
+    """Contrast and its (vx, vy) gradient at the IWE ``s`` last scattered."""
     c, mu = contrast(s.iwe)
-    return (c, *s.gradient(mu))
+    g_vx, g_vy = s.gather(s.iwe - mu)
+    scale = 2.0 / s.iwe.size
+    return c, scale * g_vx, scale * g_vy

@@ -44,7 +44,6 @@ class TrackerConfig:
                 f"ROI {roi.w}x{roi.h} does not fit the "
                 f"{self.sensor_width}x{self.sensor_height} sensor"
             )
-        # chained comparisons are False for NaN, so NaN fails the check
         if not (0 <= roi.x0 <= self.sensor_width - roi.w
                 and 0 <= roi.y0 <= self.sensor_height - roi.h):
             raise ValueError(

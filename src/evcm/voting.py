@@ -7,9 +7,9 @@ that weight. Three voters share one stencil (``_stencil``) and sum each
 image with one ``np.bincount`` (``_image``):
 
 * ``IweScatter``, which the estimator runs, scatters the IWE alone and keeps
-  the stencil, from which ``IweScatter.gradient`` gathers the gradient.
+  the stencil, at which ``IweScatter.gather`` gathers any image.
 * ``NaiveAccumulator`` sums all three images; it is the reference for the
-  banked one and for the gradient.
+  banked one and for the gather.
 * ``BankedAccumulator`` models the hardware datapath: 12 memory banks
   (3 image roles x 4 coordinate-parity banks), each a 3-stage
   read-modify-write pipeline with a 3-entry forwarding buffer resolving
@@ -190,7 +190,7 @@ class NaiveAccumulator:
 
 class IweScatter:
     """The estimator's voting: the IWE alone, scattered by one ``bincount``
-    per call, and the variance gradient gathered from it at the stencil.
+    per call, and any image gathered at the kept stencil.
 
     The (n, 4) stencil and gather buffers of a batch of ``n_events`` events
     are allocated once, here, and reused by every ascent iteration. After
@@ -206,9 +206,9 @@ class IweScatter:
         self._weight = np.empty((n_events, 4))
         self._corners = np.empty((n_events, 4))  # gather target
         self._frac = np.empty((4, n_events))  # dx, dy, 1 - dx, 1 - dy
-        # the centred IWE on the padded grid; the ring stays 0, so corners
-        # that left the grid gather nothing
-        self._centred = np.zeros((h + 2 * PAD, w + 2 * PAD))
+        # the gathered image on the padded grid; the ring stays 0, so
+        # corners that left the grid gather nothing
+        self._padded = np.zeros((h + 2 * PAD, w + 2 * PAD))
 
     def scatter(self, warped: WarpedBatch) -> None:
         self._dts = warped.dts
@@ -216,24 +216,18 @@ class IweScatter:
         self.iwe = _image(self._index, self._weight, self.shape)
         self.in_bounds_mass = float(self.iwe.sum())
 
-    def gradient(self, mu: float) -> tuple[float, float]:
-        """(∂C/∂vx, ∂C/∂vy) of the variance C of ``iwe``, whose mean is ``mu``.
-
-        Gathers the centred IWE I − μ at each event's four stencil corners:
-        ∂C/∂v = 2/P · Σ_events Σ_corners (I − μ)[corner] · ∂w/∂v over the P
-        pixels. The mean of the derivative image drops out because the
-        centred IWE sums to 0, and corners off the grid read the padding
-        ring's 0.
-        """
-        np.subtract(self.iwe, mu, out=self._centred[PAD:-PAD, PAD:-PAD])
-        c0, c1, c2, c3 = np.take(self._centred.ravel(), self._index,
+    def gather(self, image: np.ndarray) -> tuple[float, float]:
+        """(Σ_p image[p]·∂I[p]/∂vx, Σ_p image[p]·∂I[p]/∂vy) over the pixels p of
+        an (h, w) ``image``, I being the IWE last scattered: each event reads
+        ``image`` at its stencil corners, and corners off the grid read 0."""
+        self._padded[PAD:-PAD, PAD:-PAD] = image
+        c0, c1, c2, c3 = np.take(self._padded.ravel(), self._index,
                                  out=self._corners, mode="clip").T
         dx, dy, one_dx, one_dy = self._frac
         # ∂x'/∂vx = -dt, so ∂w/∂vx per corner is dt·(1−dy, −(1−dy), dy, −dy)
         g_vx = np.dot(self._dts, one_dy * (c0 - c1) + dy * (c2 - c3))
         g_vy = np.dot(self._dts, one_dx * (c0 - c2) + dx * (c1 - c3))
-        scale = 2.0 / self.iwe.size
-        return scale * float(g_vx), scale * float(g_vy)
+        return float(g_vx), float(g_vy)
 
 
 def _hazards(shape: tuple[int, int], P, W, DWX, DWY) -> np.ndarray:

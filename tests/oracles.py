@@ -147,6 +147,17 @@ def contrast_gradient_scalar(imgs) -> tuple[float, float, float]:
     return out[0], out[1], out[2]
 
 
+def gather_scalar(warped, image, shape) -> tuple[float, float]:
+    """Σ image[pixel]·dwx and Σ image[pixel]·dwy over the ``bilinear_votes``
+    of every event of a ``WarpedBatch``, each an exactly rounded
+    ``math.fsum`` of Python floats: ``image`` gathered against the IWE's
+    two velocity derivatives. Votes off the grid are dropped."""
+    terms = [(float(image[v.pixel[1], v.pixel[0]]), v.dwx, v.dwy)
+             for we in warped_events(warped) for v in bilinear_votes(we, shape)]
+    return (math.fsum(g * dwx for g, dwx, _ in terms),
+            math.fsum(g * dwy for g, _, dwy in terms))
+
+
 def every_iteration_ascent(batch, cfg, shape):
     """``estimate_motion`` with no fixed-point exit: it reads the IWE out at
     every one of the ``cfg.iterations`` steps and once more at the velocity

@@ -1,5 +1,7 @@
 """Event parsing, batch construction and ROI filtering."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,14 @@ class TestFilterRoi:
         b = batch_from_arrays([0, 1], [5, 4], [0, 0])
         out = filter_roi(b, Roi(4.7, 0.0, 2, 2))
         assert list(out.xs) == [1, 0]
+
+    @pytest.mark.parametrize("x0,y0", [(math.inf, 0.0), (0.0, -math.inf),
+                                       (math.nan, 0.0), (0.0, math.nan)])
+    def test_non_finite_origin_rejected(self, x0, y0):
+        # a ValueError naming the origin, not an OverflowError from the
+        # floor in filter_roi
+        with pytest.raises(ValueError, match=r"^ROI origin \(.+\) must lie in the finite plane$"):
+            Roi(x0, y0, 64, 64)
 
     def test_roi_size_validated(self):
         with pytest.raises(ValueError):

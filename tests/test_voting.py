@@ -13,10 +13,12 @@ from evcm.voting import (
     VotingConfigError,
     write_pgm,
 )
-from evcm.warp import WarpedBatch
+from evcm.warp import Velocity, WarpedBatch, warp_batch
 
-from conftest import accumulate_images, scatter_iwe
-from oracles import BankedDatapathOracle, WarpedEvent, bilinear_votes, warped_events
+from conftest import accumulate_images, random_interior_batch, scatter_iwe
+from oracles import (
+    BankedDatapathOracle, WarpedEvent, bilinear_votes, gather_scalar, warped_events,
+)
 
 
 def wbatch(xs, ys, dts) -> WarpedBatch:
@@ -342,6 +344,44 @@ class TestLongStreams:
             for role in ROLES:
                 assert split.bank_occupancy(role) == whole.bank_occupancy(role)
                 assert split.forwarding_hits(role) == whole.forwarding_hits(role)
+
+
+class TestGather:
+    """``IweScatter.gather`` of any image against the scalar oracle's sum of
+    image[pixel]·∂w/∂v over the in-grid votes."""
+
+    @staticmethod
+    def assert_matches_oracle(warped, image, shape):
+        grid = scatter_iwe(warped, shape)
+        iwe = grid.iwe.copy()
+        got = grid.gather(image)
+        want = gather_scalar(warped, image, shape)
+        votes = [v for we in warped_events(warped) for v in bilinear_votes(we, shape)]
+        for axis, (g, o) in enumerate(zip(got, want)):
+            size = sum(abs(float(image[v.pixel[1], v.pixel[0]]) * (v.dwx, v.dwy)[axis])
+                       for v in votes)
+            assert abs(g - o) <= 1e-12 * size, (axis, g, o, size)
+        assert np.array_equal(grid.iwe, iwe)  # the gather leaves the IWE be
+
+    def test_random_batches_at_random_velocities(self, rng):
+        for _ in range(40):
+            shape = (int(rng.integers(2, 40)), int(rng.integers(2, 40)))
+            batch = random_interior_batch(rng, int(rng.integers(1, 300)), shape,
+                                          margin=0)
+            v = Velocity(*rng.uniform(-0.6, 0.6, 2) * shape)
+            image = rng.normal(rng.uniform(-2, 2), rng.uniform(0.1, 5), shape[::-1])
+            self.assert_matches_oracle(warp_batch(batch, v), image, shape)
+
+    @pytest.mark.parametrize("n", [1, 17, 1025])
+    def test_stencils_off_the_grid(self, rng, n):
+        shape = (16, 12)
+        image = rng.normal(0.5, 2.0, shape[::-1])
+        self.assert_matches_oracle(edge_stream(rng, n, shape), image, shape)
+
+    def test_zero_image_gathers_zero(self, rng):
+        shape = (16, 12)
+        grid = scatter_iwe(edge_stream(rng, 500, shape), shape)
+        assert grid.gather(np.zeros(shape[::-1])) == (0.0, 0.0)
 
 
 class TestPgmExport:
