@@ -19,7 +19,7 @@ from .events import EventArray, Roi, filter_roi, make_batch, parse_events
 from .optimizer import OptimizationError, OptimizerConfig, estimate_motion
 from .synth import SceneConfig, generate_scene
 from .tracker import TrackerConfig, track
-from .voting import write_pgm
+from .voting import check_bank_grid, write_pgm
 from .warp import Velocity
 
 
@@ -178,6 +178,7 @@ def cmd_cycles(args: argparse.Namespace) -> int:
         P=roi_w * roi_h,
         f_clk=args.clock,
     )
+    check_bank_grid(args.roi)  # the banks hold an ROI of even sides only
     print(speedup_report(params, fmt=args.format), end="")
     if args.format == "text":
         print(f"projected batch time: {batch_time(params) * 1e3:.4f} ms")

@@ -1,15 +1,17 @@
-"""Bilinear voting: the estimator's IWE scatter, and the accumulators of the
-IWE and its two velocity-derivative images.
+"""Bilinear voting: one IWE scatter, which serves the estimator and both
+accumulators of the IWE and its two velocity-derivative images.
 
 Each warped event spreads over its four neighboring pixels with bilinear
-weights, and every pixel may also receive the two velocity derivatives of
-that weight. Three voters share one stencil (``_stencil``) and sum each
-image with one ``np.bincount`` (``_image``):
+weights (``_stencil``), and each image is one ``np.bincount`` of votes
+(``_image``). ``IweScatter`` votes a batch once and keeps its stencil: it
+holds the IWE, ``gather`` reads any image against the weights' velocity
+derivatives, and ``derivative_votes`` gives those derivatives as votes.
 
-* ``IweScatter``, which the estimator runs, scatters the IWE alone and keeps
-  the stencil, at which ``IweScatter.gather`` gathers any image.
-* ``NaiveAccumulator`` sums all three images; it is the reference for the
-  banked one and for the gather.
+* The estimator scatters each ascent step's IWE and gathers its gradient.
+* ``NaiveAccumulator`` and ``BankedAccumulator`` share one readout window,
+  the batches of every ``accumulate`` call since the last readout. At
+  ``read_and_clear`` they vote its concatenated columns through one
+  ``IweScatter``, whose derivative votes give the other two images.
 * ``BankedAccumulator`` models the hardware datapath: 12 memory banks
   (3 image roles x 4 coordinate-parity banks), each a 3-stage
   read-modify-write pipeline with a 3-entry forwarding buffer resolving
@@ -20,11 +22,9 @@ image with one ``np.bincount`` (``_image``):
   updates and forwarding hits per bank). It is driven directly, as a model
   of the datapath, not as an estimator mode.
 
-An accumulator keeps each ``accumulate`` call's vote stream until its next
-readout (its readout window) and sums the window at ``read_and_clear``.
 ``np.bincount`` adds each pixel's votes one at a time in stream order, so
-every pixel is the same sequential sum in all three voters, however the
-stream was cut into calls. Off-grid corners land in a PAD-pixel ring.
+every pixel is the same sequential sum wherever it is voted, however a
+window was cut into calls. Off-grid corners land in a PAD-pixel ring.
 
 Batch-sized temporaries of hundreds of KB go back to the OS and are
 page-faulted in again on every ascent iteration, which costs more than the
@@ -119,31 +119,20 @@ def _stencil(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
     np.multiply(dx, dy, out=W[:, 3])
 
 
-def _vote_arrays(warped: WarpedBatch, shape: tuple[int, int]):
-    """Vectorized vote stream for a batch of n warped events.
-
-    Returns (P, W, DWX, DWY), each of shape (n, 4): the ``_stencil`` of the
-    batch, and the velocity derivatives of its weights in the same layout.
-    """
-    n = len(warped)
-    P = np.empty((n, 4), dtype=np.intp)
-    W = np.empty((n, 4))
-    F = np.empty((4, n))
-    _stencil(warped.xs, warped.ys, shape, P, W, F)
-    dx, dy, one_dx, one_dy = F
-    ndt = -warped.dts
-    # ndt * (-a) == -(ndt * a) exactly: IEEE rounding is sign-symmetric
-    a, b = ndt * one_dy, ndt * dy
-    DWX = np.stack((-a, a, -b, b), axis=1)
-    a, b = ndt * one_dx, ndt * dx
-    DWY = np.stack((-a, -b, a, b), axis=1)
-    return P, W, DWX, DWY
-
-
 def _check_grid(shape: tuple[int, int]) -> None:
     w, h = shape
     if w < 2 or h < 2:
         raise VotingConfigError(f"grid must be at least 2x2, got {w}x{h}")
+
+
+def check_bank_grid(shape: tuple[int, int]) -> None:
+    """The banks' rule: each parity bank holds one pixel of every 2x2 block,
+    so both sides of the grid must be even."""
+    w, h = shape
+    if w % 2 != 0 or h % 2 != 0:
+        raise VotingConfigError(
+            f"banked accumulator needs even grid dimensions, got {w}x{h}"
+        )
 
 
 def _image(index: np.ndarray, values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -156,41 +145,9 @@ def _image(index: np.ndarray, values: np.ndarray, shape: tuple[int, int]) -> np.
     return padded.reshape(ph, pw)[PAD:-PAD, PAD:-PAD].astype(np.float64)
 
 
-# the votes of no events, which starts every readout window's stream
-_NO_VOTES = (np.empty((0, 4), dtype=np.intp), *np.empty((3, 0, 4)))
-
-
-def _stream(window: list) -> list[np.ndarray]:
-    """A readout window's (P, W, DWX, DWY): its calls' ``_vote_arrays``
-    concatenated in call order."""
-    return [np.concatenate(parts) for parts in zip(_NO_VOTES, *window)]
-
-
-def _images(shape: tuple[int, int], P, W, DWX, DWY) -> ImageSet:
-    iwe, dvx, dvy = (_image(P, values, shape) for values in (W, DWX, DWY))
-    return ImageSet(iwe=iwe, d_vx=dvx, d_vy=dvy, in_bounds_mass=float(iwe.sum()))
-
-
-class NaiveAccumulator:
-    """Reference accumulator of the three images, with clear-on-read."""
-
-    def __init__(self, shape: tuple[int, int]) -> None:
-        _check_grid(shape)
-        self.shape = shape
-        self._window: list = []  # each call's _vote_arrays since the readout
-
-    def accumulate(self, warped: WarpedBatch) -> None:
-        self._window.append(_vote_arrays(warped, self.shape))
-
-    def read_and_clear(self) -> ImageSet:
-        votes = _stream(self._window)
-        self._window = []
-        return _images(self.shape, *votes)
-
-
 class IweScatter:
-    """The estimator's voting: the IWE alone, scattered by one ``bincount``
-    per call, and any image gathered at the kept stencil.
+    """One batch's votes: the IWE, scattered by one ``bincount`` per call,
+    and at the kept stencil any image gathered and the derivative votes.
 
     The (n, 4) stencil and gather buffers of a batch of ``n_events`` events
     are allocated once, here, and reused by every ascent iteration. After
@@ -216,6 +173,18 @@ class IweScatter:
         self.iwe = _image(self._index, self._weight, self.shape)
         self.in_bounds_mass = float(self.iwe.sum())
 
+    def derivative_votes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (n, 4) votes of ∂I/∂vx and ∂I/∂vy at ``_index``, I being the
+        IWE last scattered: the scatter form of ∂w/∂v, whose transpose is
+        ``gather``."""
+        dx, dy, one_dx, one_dy = self._frac
+        ndt = -self._dts
+        # ndt * (-a) == -(ndt * a) exactly: IEEE rounding is sign-symmetric
+        a, b = ndt * one_dy, ndt * dy
+        d_vx = np.stack((-a, a, -b, b), axis=1)
+        a, b = ndt * one_dx, ndt * dx
+        return d_vx, np.stack((-a, -b, a, b), axis=1)
+
     def gather(self, image: np.ndarray) -> tuple[float, float]:
         """(Σ_p image[p]·∂I[p]/∂vx, Σ_p image[p]·∂I[p]/∂vy) over the pixels p of
         an (h, w) ``image``, I being the IWE last scattered: each event reads
@@ -230,15 +199,16 @@ class IweScatter:
         return float(g_vx), float(g_vy)
 
 
-def _hazards(shape: tuple[int, int], P, W, DWX, DWY) -> np.ndarray:
+def _hazards(s: IweScatter, d_vx: np.ndarray, d_vy: np.ndarray) -> np.ndarray:
     """(2, 12) issued updates and forwarding hits per bank key (role * 4 +
-    parity bank) of one readout window's vote stream, which starts with the
+    parity bank) of one readout window's votes, scattered by ``s`` with
+    derivative votes ``d_vx``, ``d_vy``; the window starts with the
     pipelines drained."""
-    w_dim, h_dim = shape
-    j, i = np.divmod(P.ravel(), w_dim + 2 * PAD)
+    w_dim, h_dim = s.shape
+    j, i = np.divmod(s._index.ravel(), w_dim + 2 * PAD)
     i -= PAD
     j -= PAD
-    issued = np.stack((W.ravel(), DWX.ravel(), DWY.ravel())) != 0.0
+    issued = np.stack((s._weight.ravel(), d_vx.ravel(), d_vy.ravel())) != 0.0
     issued &= (0 <= i) & (i < w_dim) & (0 <= j) & (j < h_dim)
     # the (role, event, corner) order of the selection is each bank's
     # issue order
@@ -258,7 +228,43 @@ def _hazards(shape: tuple[int, int], P, W, DWX, DWY) -> np.ndarray:
     return np.stack([np.bincount(k, minlength=4 * len(ROLES)) for k in (keys, keys[hit])])
 
 
-class BankedAccumulator:
+class _Accumulator:
+    """What both accumulators share: the readout window, the batches (not
+    copies) of every ``accumulate`` call since the last readout."""
+
+    def __init__(self, shape: tuple[int, int]) -> None:
+        _check_grid(shape)
+        self.shape = shape
+        self._window: list[WarpedBatch] = []
+
+    def accumulate(self, warped: WarpedBatch) -> None:
+        self._window.append(warped)
+
+    def _votes(self) -> tuple[IweScatter, np.ndarray, np.ndarray]:
+        """The window's batches concatenated in call order and voted once:
+        their ``IweScatter`` and its derivative votes."""
+        xs, ys, dts = (np.concatenate([np.empty(0), *(getattr(w, col) for w in self._window)])
+                       for col in ("xs", "ys", "dts"))
+        s = IweScatter(len(xs), self.shape)
+        s.scatter(WarpedBatch(xs, ys, dts))
+        return (s, *s.derivative_votes())
+
+    def _read(self, s: IweScatter, d_vx: np.ndarray, d_vy: np.ndarray) -> ImageSet:
+        """Close the window and return the images of its ``_votes``."""
+        self._window = []
+        return ImageSet(iwe=s.iwe, d_vx=_image(s._index, d_vx, self.shape),
+                        d_vy=_image(s._index, d_vy, self.shape),
+                        in_bounds_mass=s.in_bounds_mass)
+
+
+class NaiveAccumulator(_Accumulator):
+    """Reference accumulator of the three images, with clear-on-read."""
+
+    def read_and_clear(self) -> ImageSet:
+        return self._read(*self._votes())
+
+
+class BankedAccumulator(_Accumulator):
     """The banked accumulation datapath: 3 image roles x 4 parity banks.
 
     Pixel (i, j) lives in bank ``(i & 1) + 2 * (j & 1)`` at word
@@ -281,26 +287,17 @@ class BankedAccumulator:
     """
 
     def __init__(self, shape: tuple[int, int]) -> None:
-        w, h = shape
-        if w % 2 != 0 or h % 2 != 0:
-            raise VotingConfigError(
-                f"banked accumulator needs even grid dimensions, got {w}x{h}"
-            )
-        _check_grid(shape)
-        self.shape = shape
-        self._window: list = []  # each call's _vote_arrays since the readout
+        check_bank_grid(shape)
+        super().__init__(shape)
         # the _hazards of the windows read out so far
         self._closed = np.zeros((2, 4 * len(ROLES)), dtype=np.int64)
-
-    def accumulate(self, warped: WarpedBatch) -> None:
-        self._window.append(_vote_arrays(warped, self.shape))
 
     def _per_bank(self, which: int, role: str) -> tuple[int, int, int, int]:
         """Row ``which`` of the ``_hazards`` counts for one role's banks,
         over the windows read out and the one still open."""
         if role not in ROLES:
             raise ValueError(f"unknown image role {role!r}, expected one of {ROLES}")
-        counts = self._closed + _hazards(self.shape, *_stream(self._window))
+        counts = self._closed + _hazards(*self._votes())
         k = 4 * ROLES.index(role)
         return tuple(counts[which, k:k + 4].tolist())  # type: ignore[return-value]
 
@@ -314,7 +311,6 @@ class BankedAccumulator:
         return self._per_bank(1, role)
 
     def read_and_clear(self) -> ImageSet:
-        votes = _stream(self._window)
-        self._window = []
-        self._closed += _hazards(self.shape, *votes)  # the pipelines drain
-        return _images(self.shape, *votes)
+        votes = self._votes()
+        self._closed += _hazards(*votes)  # the pipelines drain
+        return self._read(*votes)

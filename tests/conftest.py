@@ -93,13 +93,19 @@ def rng() -> np.random.Generator:
 @pytest.fixture
 def readouts(monkeypatch):
     """``readouts()`` is the number of IWE readouts (``IweScatter.scatter``
-    calls) made since the test started."""
-    calls = [0]
+    calls) made since the test started; ``readouts.votes`` lists how many
+    events each of them voted."""
+    votes: list[int] = []
     scatter = IweScatter.scatter
 
     def counted(self, warped):
-        calls[0] += 1
+        votes.append(len(warped))
         scatter(self, warped)
 
     monkeypatch.setattr(IweScatter, "scatter", counted)
-    return lambda: calls[0]
+
+    def count() -> int:
+        return len(votes)
+
+    count.votes = votes
+    return count

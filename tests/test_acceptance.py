@@ -19,7 +19,7 @@ from evcm.objective import contrast, evaluate
 from evcm.optimizer import OptimizerConfig, estimate_motion
 from evcm.synth import SceneConfig, generate_scene
 from evcm.tracker import TrackerConfig, track
-from evcm.voting import BankedAccumulator, _vote_arrays
+from evcm.voting import BankedAccumulator
 from evcm.warp import Velocity, WarpedBatch, warp_batch
 
 from conftest import accumulate_images, batch_from_arrays, random_interior_batch, scatter_iwe
@@ -274,7 +274,8 @@ def test_criterion_8a_voting_invariants_100k_events():
     warped = WarpedBatch(
         xs=rng.uniform(1, 62, n), ys=rng.uniform(1, 62, n), dts=rng.uniform(-1, 1, n)
     )
-    _, W, DWX, DWY = _vote_arrays(warped, (64, 64))
+    grid = scatter_iwe(warped, (64, 64))
+    W, (DWX, DWY) = grid._weight, grid.derivative_votes()
     # the four bilinear weights of each event always sum to one...
     assert np.max(np.abs(W.sum(axis=1) - 1.0)) < 1e-12
     # ...so their velocity sensitivities must cancel

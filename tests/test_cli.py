@@ -466,6 +466,12 @@ class TestCyclesCommand:
         assert main(["cycles", "--roi", "63x63"]) == 1
         assert "divisible by 4" in capsys.readouterr().err
 
+    def test_odd_sided_roi_rejected(self, capsys):
+        # P = 12 is divisible by 4, but the parity banks need even sides
+        assert main(["cycles", "--roi", "4x3", "--roi-events", "10", "--n-events", "10"]) == 1
+        assert capsys.readouterr().err == (
+            "error: banked accumulator needs even grid dimensions, got 4x3\n")
+
     @pytest.mark.parametrize("clock", ["inf", "nan"])
     def test_non_finite_clock_rejected(self, clock, capsys):
         assert main(["cycles", "--clock", clock]) == 1

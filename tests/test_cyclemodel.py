@@ -113,7 +113,7 @@ class TestSpeedupReport:
 
 
 class TestModelTiesToImplementation:
-    def test_work_counters_match_model_terms(self, rng):
+    def test_work_counters_match_model_terms(self, rng, readouts):
         """The T*n and T*(P/4)*4 terms count real work in the software path."""
         batch = random_interior_batch(rng, 75)
         t_iters = 9
@@ -123,9 +123,12 @@ class TestModelTiesToImplementation:
             shape=(64, 64),
         )
         p = CycleParams(N=len(batch), T=t_iters, n=len(batch), P=64 * 64)
-        # each ascent step votes every ROI event and reads back every address
-        assert len(trace) * len(batch) == p.T * p.n
-        assert len(trace) * trace.final_iwe.size == p.T * (p.P // 4) * 4
+        # every readout votes all n ROI events; there is one per step run
+        # and the closing one, at most T + 1
+        assert readouts.votes == [p.n] * trace.readouts
+        assert 1 <= trace.readouts <= p.T + 1
+        # and each reads back every address, P/4 of four pixels
+        assert trace.final_iwe.size == p.P
 
 
 def banked_readout(warped, shape):

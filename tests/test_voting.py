@@ -11,6 +11,7 @@ from evcm.voting import (
     IweScatter,
     NaiveAccumulator,
     VotingConfigError,
+    _image,
     write_pgm,
 )
 from evcm.warp import Velocity, WarpedBatch, warp_batch
@@ -351,32 +352,62 @@ class TestGather:
     image[pixel]·∂w/∂v over the in-grid votes."""
 
     @staticmethod
-    def assert_matches_oracle(warped, image, shape):
+    def oracle(warped, image, shape):
+        """``gather_scalar``, and per axis the sum of |image[pixel]·∂w/∂v|
+        over the in-grid votes, the scale of the rounding allowed."""
+        votes = [v for we in warped_events(warped) for v in bilinear_votes(we, shape)]
+        sizes = [sum(abs(float(image[v.pixel[1], v.pixel[0]]) * (v.dwx, v.dwy)[axis])
+                     for v in votes) for axis in (0, 1)]
+        return gather_scalar(warped, image, shape), sizes
+
+    def assert_matches_oracle(self, warped, image, shape):
         grid = scatter_iwe(warped, shape)
         iwe = grid.iwe.copy()
         got = grid.gather(image)
-        want = gather_scalar(warped, image, shape)
-        votes = [v for we in warped_events(warped) for v in bilinear_votes(we, shape)]
-        for axis, (g, o) in enumerate(zip(got, want)):
-            size = sum(abs(float(image[v.pixel[1], v.pixel[0]]) * (v.dwx, v.dwy)[axis])
-                       for v in votes)
+        want, sizes = self.oracle(warped, image, shape)
+        for axis, (g, o, size) in enumerate(zip(got, want, sizes)):
             assert abs(g - o) <= 1e-12 * size, (axis, g, o, size)
         assert np.array_equal(grid.iwe, iwe)  # the gather leaves the IWE be
 
+    def assert_transpose_of_gather(self, warped, image, shape):
+        """Σ_p image[p]·D[p], D being the images of ``derivative_votes``,
+        matches ``gather(image)`` and the scalar oracle."""
+        grid = scatter_iwe(warped, shape)
+        dotted = [float(np.sum(image * _image(grid._index, votes, shape)))
+                  for votes in grid.derivative_votes()]
+        want, sizes = self.oracle(warped, image, shape)
+        for axis, (d, g, o, size) in enumerate(zip(dotted, grid.gather(image), want, sizes)):
+            assert abs(d - g) <= 1e-12 * size, (axis, d, g, size)
+            assert abs(d - o) <= 1e-12 * size, (axis, d, o, size)
+
+    @staticmethod
+    def random_case(rng):
+        """A random batch warped at a random velocity, and a signed image."""
+        shape = (int(rng.integers(2, 40)), int(rng.integers(2, 40)))
+        batch = random_interior_batch(rng, int(rng.integers(1, 300)), shape, margin=0)
+        v = Velocity(*rng.uniform(-0.6, 0.6, 2) * shape)
+        image = rng.normal(rng.uniform(-2, 2), rng.uniform(0.1, 5), shape[::-1])
+        return warp_batch(batch, v), image, shape
+
     def test_random_batches_at_random_velocities(self, rng):
         for _ in range(40):
-            shape = (int(rng.integers(2, 40)), int(rng.integers(2, 40)))
-            batch = random_interior_batch(rng, int(rng.integers(1, 300)), shape,
-                                          margin=0)
-            v = Velocity(*rng.uniform(-0.6, 0.6, 2) * shape)
-            image = rng.normal(rng.uniform(-2, 2), rng.uniform(0.1, 5), shape[::-1])
-            self.assert_matches_oracle(warp_batch(batch, v), image, shape)
+            self.assert_matches_oracle(*self.random_case(rng))
 
     @pytest.mark.parametrize("n", [1, 17, 1025])
     def test_stencils_off_the_grid(self, rng, n):
         shape = (16, 12)
         image = rng.normal(0.5, 2.0, shape[::-1])
         self.assert_matches_oracle(edge_stream(rng, n, shape), image, shape)
+
+    def test_derivative_votes_transpose_gather_on_random_batches(self, rng):
+        for _ in range(40):
+            self.assert_transpose_of_gather(*self.random_case(rng))
+
+    @pytest.mark.parametrize("n", [1, 17, 1025])
+    def test_derivative_votes_transpose_gather_off_the_grid(self, rng, n):
+        shape = (16, 12)
+        image = rng.normal(-0.5, 2.0, shape[::-1])
+        self.assert_transpose_of_gather(edge_stream(rng, n, shape), image, shape)
 
     def test_zero_image_gathers_zero(self, rng):
         shape = (16, 12)
