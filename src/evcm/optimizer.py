@@ -54,8 +54,9 @@ class IterationRecord:
 class OptimizationTrace:
     """One record per ascent step, the IWE read out at the velocity the
     ascent returns (after the last step, or at the fixed point it stopped
-    reading out at), and the number of IWE readouts run, the closing one
-    included (at most ``len(records) + 1``)."""
+    reading out at), and the number of IWE scatters run: one per distinct
+    velocity read out, plus a closing one at a returned velocity whose IWE
+    the grid no longer holds (at most ``len(records) + 1``)."""
 
     records: list[IterationRecord]
     final_iwe: np.ndarray
@@ -110,38 +111,58 @@ def estimate_motion(
     step's at the returned velocity and ``final_iwe`` is this step's IWE,
     the outputs that all ``cfg.iterations + 1`` readouts give. The first
     readout after the floor is such a fixed point, so ``cfg.iterations`` is
-    a cap, the trace keeps ``cfg.iterations`` records, and
-    ``trace.readouts`` counts the readouts run.
+    a cap and the trace keeps ``cfg.iterations`` records.
+
+    A readout depends only on the batch, the grid and v, and the steps move
+    on a dyadic lattice, so an ascent often steps back onto a velocity it
+    has read out. A per-call table keyed by ``(v.vx, v.vy)`` holds each
+    readout's contrast and gradient, and such a step reuses its row with no
+    warp, scatter or gather; the outputs are those of a readout at every
+    step, bit for bit. When the ascent returns a velocity whose IWE the grid
+    no longer holds (a cap reached on a table hit), one more scatter at it
+    gives ``final_iwe``. ``trace.readouts`` counts the scatters run.
     """
     n = len(batch)
     if n == 0:
         raise ValueError("cannot estimate motion from an empty batch")
     grid = IweScatter(n, shape)
     w, h = shape
+    # (c, g_vx, g_vy) of every velocity read out, keyed by (vx, vy); the keys
+    # -0.0 and 0.0 collide, and their warps are bit-equal
+    rows: dict[tuple[float, float], tuple[float, float, float]] = {}
+    held = None  # the key of the velocity whose IWE grid holds
+    readouts = 0
 
     v = cfg.v_init
     steps = [FIRST_STEP, FIRST_STEP]
     signs = [0, 0]
     records: list[IterationRecord] = []
     for it in range(cfg.iterations + 1):
-        grid.scatter(warp_batch(batch, v))
-        if not grid.in_bounds_mass > 0.0:
-            raise OptimizationError(
-                f"no vote mass inside the grid at iteration {it}, "
-                f"v = ({v.vx:.6g}, {v.vy:.6g}): the ascent diverged or "
-                f"started off the grid"
-            )
-        if abs(v.vx) > w or abs(v.vy) > h:
-            raise OptimizationError(
-                f"velocity beyond the {w}x{h} grid at iteration {it}, "
-                f"v = ({v.vx:.6g}, {v.vy:.6g}) px per half-span: the ascent "
-                f"diverged or started off the grid"
-            )
+        key = (v.vx, v.vy)
+        row = rows.get(key)
+        if row is None:
+            grid.scatter(warp_batch(batch, v))
+            readouts += 1
+            held = key
+            if not grid.in_bounds_mass > 0.0:
+                raise OptimizationError(
+                    f"no vote mass inside the grid at iteration {it}, "
+                    f"v = ({v.vx:.6g}, {v.vy:.6g}): the ascent diverged or "
+                    f"started off the grid"
+                )
+            if abs(v.vx) > w or abs(v.vy) > h:
+                raise OptimizationError(
+                    f"velocity beyond the {w}x{h} grid at iteration {it}, "
+                    f"v = ({v.vx:.6g}, {v.vy:.6g}) px per half-span: the ascent "
+                    f"diverged or started off the grid"
+                )
         if it == cfg.iterations:
             break
-        c, g_vx, g_vy = evaluate(grid)
-        if not (math.isfinite(g_vx) and math.isfinite(g_vy)):
-            raise OptimizationError(f"non-finite gradient at iteration {it}")
+        if row is None:
+            row = rows[key] = evaluate(grid)
+            if not (math.isfinite(row[1]) and math.isfinite(row[2])):
+                raise OptimizationError(f"non-finite gradient at iteration {it}")
+        c, g_vx, g_vy = row
         records.append(IterationRecord(v, c, g_vx, g_vy))
         pos = [v.vx, v.vy]
         for axis, g in enumerate((g_vx, g_vy)):
@@ -158,4 +179,9 @@ def estimate_motion(
             # no step and move nowhere, so every later step repeats this row
             records += [IterationRecord(v, c, g_vx, g_vy)] * (cfg.iterations - it - 1)
             break
-    return v, OptimizationTrace(records, grid.iwe, it + 1)
+    if held != (v.vx, v.vy):
+        # the ascent ended on a table hit; its velocity was checked when first
+        # read out, and final_iwe needs its IWE
+        grid.scatter(warp_batch(batch, v))
+        readouts += 1
+    return v, OptimizationTrace(records, grid.iwe, readouts)

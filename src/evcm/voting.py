@@ -283,21 +283,31 @@ class BankedAccumulator(_Accumulator):
 
     ``read_and_clear`` models the clear-on-read BRAM scheme: the pipelines
     drain, and it returns the window's images and leaves every bank zeroed.
-    The two counters run on across readouts, over the accumulator's life.
+    The two counters run on across readouts, over the accumulator's life;
+    the open window's share is voted once per window state, at the first
+    counter read after an ``accumulate`` or ``read_and_clear``.
     """
 
     def __init__(self, shape: tuple[int, int]) -> None:
         check_bank_grid(shape)
         super().__init__(shape)
-        # the _hazards of the windows read out so far
+        # the _hazards of the windows read out so far, and of the open one
+        # once a counter has asked (None until then)
         self._closed = np.zeros((2, 4 * len(ROLES)), dtype=np.int64)
+        self._open: np.ndarray | None = None
+
+    def accumulate(self, warped: WarpedBatch) -> None:
+        super().accumulate(warped)
+        self._open = None
 
     def _per_bank(self, which: int, role: str) -> tuple[int, int, int, int]:
         """Row ``which`` of the ``_hazards`` counts for one role's banks,
         over the windows read out and the one still open."""
         if role not in ROLES:
             raise ValueError(f"unknown image role {role!r}, expected one of {ROLES}")
-        counts = self._closed + _hazards(*self._votes())
+        if self._open is None:
+            self._open = _hazards(*self._votes())
+        counts = self._closed + self._open
         k = 4 * ROLES.index(role)
         return tuple(counts[which, k:k + 4].tolist())  # type: ignore[return-value]
 
@@ -313,4 +323,5 @@ class BankedAccumulator(_Accumulator):
     def read_and_clear(self) -> ImageSet:
         votes = self._votes()
         self._closed += _hazards(*votes)  # the pipelines drain
+        self._open = None
         return self._read(*votes)

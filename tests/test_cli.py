@@ -335,7 +335,8 @@ class TestEstimateCommand:
             self, fixture_events, tmp_path, readouts, capsys):
         # from this warm start both steps are below LEAST_STEP after row 15's
         # step, so the velocity stops moving at row 16; the later rows repeat
-        # that row, and the readout at row 16 is the last
+        # that row, and the readout at row 16 is the last; row 7 steps back
+        # onto row 4's velocity and reuses its readout
         out = tmp_path / "est3"
         rc = main(
             ["estimate", "--input", str(fixture_events), "--batch-size", "2000",
@@ -349,8 +350,9 @@ class TestEstimateCommand:
         held = [row.split(",", 1)[1] for row in rows]
         assert held[15] != held[16]
         assert len(set(held[16:])) == 1
-        assert readouts() == 17
-        assert capsys.readouterr().out.startswith("iterations: 100  readouts: 17  v = (")
+        assert held[4] == held[7]
+        assert readouts() == 16
+        assert capsys.readouterr().out.startswith("iterations: 100  readouts: 16  v = (")
 
     @pytest.mark.parametrize("command,output", [("estimate", "trace.csv"),
                                                 ("track", "trajectory.csv")])

@@ -141,7 +141,9 @@ class TestEstimateMotion:
             assert flips >= 2
             assert all(move == 0.0 for move in axis_moves[floor + 1:])
         assert path[floor + 1:] == [(v.vx, v.vy)] * (cfg.iterations - floor)
-        assert trace.readouts == floor + 2
+        # one readout per distinct velocity up to the fixed point at row
+        # floor + 1; that readout is a first visit, so none closes the ascent
+        assert trace.readouts == len(set(path[:floor + 2]))
 
     def test_trace_lengths_and_work_counters(self, rng):
         batch = random_interior_batch(rng, 60, grid=(16, 16), margin=2)
@@ -274,8 +276,69 @@ def test_fixed_point_exit_matches_every_iteration_ascent(case, readouts):
     assert repr(v) == repr(v_ref)
     assert trace.final_iwe.tobytes() == ref.final_iwe.tobytes()
     assert trace.readouts == reads
-    if case == "T5":  # each of its steps moves v by at least 1/16
+    if case == "T5":
+        # each of its steps starts at a new velocity, and the cap returns
+        # row 2's, whose IWE the grid no longer holds and is scattered again
         assert reads == cfg.iterations + 1
+
+
+def revisit_scene(n):
+    """A scene whose ascents from v = 0 step back onto a velocity they read
+    out before, at n = 820 (once) and n = 9500 (at steps 6, 8 and 10)."""
+    return small_scene_batch((-3.29, 3.33), 4201, n, noise=0.05)
+
+
+def capped_at_second_revisit(batch):
+    """``batch`` with the cap at the second step of its ascent that starts at
+    a velocity read out before: the ascent returns that velocity after one
+    table hit, and ``final_iwe`` must be read out at it once more."""
+    _, trace = estimate_motion(batch, OptimizerConfig(), shape=(64, 64))
+    path = [r.v for r in trace.records]
+    cap = [i for i, u in enumerate(path) if u in path[:i]][1]
+    return batch, OptimizerConfig(iterations=cap)
+
+
+# case -> (batch, config); cases in which the ascent steps back onto a
+# velocity it has read out, so its readout is reused
+REVISIT_CASES = {
+    "n820": lambda: (revisit_scene(820), OptimizerConfig()),
+    "n9500": lambda: (revisit_scene(9500), OptimizerConfig()),
+    # the step back to (0.0, 0.0) at step 3 reuses the row of (-0.0, -0.0)
+    "signed-zero": lambda: (small_scene_batch((0.2, 0.3), 7, 9500, noise=0.05),
+                            OptimizerConfig(v_init=Velocity(-0.0, -0.0))),
+    "cap-on-a-revisit": lambda: capped_at_second_revisit(revisit_scene(9500)),
+}
+
+
+@pytest.mark.parametrize("case", list(REVISIT_CASES))
+def test_revisited_velocity_reuses_its_readout(case, readouts):
+    # a readout depends on the batch, the grid and v alone, so reusing the
+    # row of a velocity already read out changes no output
+    batch, cfg = REVISIT_CASES[case]()
+    start = readouts()
+    v, trace = estimate_motion(batch, cfg, shape=(64, 64))
+    reads = readouts() - start
+    v_ref, ref = every_iteration_ascent(batch, cfg, shape=(64, 64))
+    assert trace.to_csv() == ref.to_csv()
+    assert repr(v) == repr(v_ref)
+    assert trace.final_iwe.tobytes() == ref.final_iwe.tobytes()
+    assert trace.readouts == reads
+    # the steps run: up to a fixed point, whose repeated rows read nothing out
+    path = [r.v for r in trace.records]
+    run = next((i for i in range(1, len(path)) if path[i] == path[i - 1]), len(path))
+    visited = path[:run]
+    stopped = v == path[-1]
+    assert len(set(visited)) < run  # at least one table hit
+    # one scatter per distinct velocity, and at the cap one more at v. A
+    # fixed point's readout is never a hit: the floor step moves the last
+    # axis to go below LEAST_STEP by 2^-7 for the first time, off the 2^-6
+    # lattice (offset by v_init) that every earlier step of it stayed on
+    assert reads == len(set(visited)) + (not stopped)
+    assert reads < run + (not stopped)  # what every readout would take
+    if case == "signed-zero":
+        assert repr(path[0]) != repr(path[3]) and path[0] == path[3]
+    if case == "cap-on-a-revisit":
+        assert not stopped and v in visited
 
 
 def test_ascent_on_a_cusp_axis_stops_reading_out(readouts):

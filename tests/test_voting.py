@@ -262,6 +262,26 @@ class TestDatapathOracle:
             assert acc.forwarding_hits(role) == oracle.forwarding_hits(role)
         assert sum(acc.forwarding_hits("iwe")) > 0
 
+    def test_counter_reads_vote_an_open_window_once(self, rng, readouts):
+        # the six counter reads of one window state vote it once; an
+        # accumulate or a readout changes the state, and the next read votes
+        # the new window
+        grid = (16, 12)
+        acc = BankedAccumulator(grid)
+        oracle = BankedDatapathOracle(grid)
+        for step in ("accumulate", "accumulate", "read", "accumulate"):
+            if step == "read":
+                assert_imagesets_identical(acc.read_and_clear(), oracle.read_and_clear())
+            else:
+                warped = random_warped(rng, 300, grid, concentrated=True)
+                acc.accumulate(warped)
+                oracle.accumulate(warped)
+            start = readouts()
+            for role in ROLES:
+                assert acc.bank_occupancy(role) == oracle.bank_occupancy(role)
+                assert acc.forwarding_hits(role) == oracle.forwarding_hits(role)
+            assert readouts() - start == 1
+
 
 def scalar_oracle(warped: WarpedBatch, shape) -> tuple[np.ndarray, ...]:
     """Per-event reference: ``bilinear_votes`` summed pixel by pixel in
