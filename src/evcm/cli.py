@@ -246,18 +246,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_cyc.set_defaults(func=cmd_cycles)
 
     p_syn = sub.add_parser("synth", help="generate a synthetic event scene")
-    p_syn.add_argument("--scene", choices=("square", "bar", "points"), default="square")
-    p_syn.add_argument("--vx", type=float, default=3.0)
-    p_syn.add_argument("--vy", type=float, default=-2.0)
-    p_syn.add_argument("--start-x", type=float, default=120.0)
-    p_syn.add_argument("--start-y", type=float, default=90.0)
-    p_syn.add_argument("--size", type=int, default=20)
-    p_syn.add_argument("--batches", type=int, default=1)
-    p_syn.add_argument("--events-per-batch", type=int, default=5000)
-    p_syn.add_argument("--batch-duration-us", type=int, default=20000)
-    p_syn.add_argument("--noise", type=float, default=0.0)
-    p_syn.add_argument("--seed", type=int, default=0)
-    p_syn.add_argument("--sensor", type=_parse_size, default="240x180")
+    p_syn.add_argument("--scene", choices=("square", "bar", "points"),
+                       default=SceneConfig.scene)
+    p_syn.add_argument("--vx", type=float, default=SceneConfig.velocity[0])
+    p_syn.add_argument("--vy", type=float, default=SceneConfig.velocity[1])
+    p_syn.add_argument("--start-x", type=float, default=SceneConfig.start[0])
+    p_syn.add_argument("--start-y", type=float, default=SceneConfig.start[1])
+    p_syn.add_argument("--size", type=int, default=SceneConfig.object_size)
+    p_syn.add_argument("--batches", type=int, default=SceneConfig.batches)
+    p_syn.add_argument("--events-per-batch", type=int, default=SceneConfig.events_per_batch)
+    p_syn.add_argument("--batch-duration-us", type=int, default=SceneConfig.batch_duration_us)
+    p_syn.add_argument("--noise", type=float, default=SceneConfig.noise_fraction)
+    p_syn.add_argument("--seed", type=int, default=SceneConfig.seed)
+    p_syn.add_argument("--sensor", type=_parse_size, default=SceneConfig.sensor)
     p_syn.add_argument("--output-dir", default=".")
     p_syn.set_defaults(func=cmd_synth)
 

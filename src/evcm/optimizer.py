@@ -81,6 +81,28 @@ class OptimizationTrace:
         return buf.getvalue()
 
 
+def _read_out(grid: IweScatter, batch: EventBatch, v: Velocity, it: int) -> tuple[float, float]:
+    """Scatter the IWE of ``batch`` warped at ``v`` into ``grid`` and return
+    the key ``(v.vx, v.vy)`` of the velocity it holds. Raise
+    ``OptimizationError`` at step ``it`` when ``v`` has run away: no vote
+    mass is left on the grid, or |v| exceeds the grid's sides."""
+    grid.scatter(warp_batch(batch, v))
+    w, h = grid.shape
+    if not grid.in_bounds_mass > 0.0:
+        raise OptimizationError(
+            f"no vote mass inside the grid at iteration {it}, "
+            f"v = ({v.vx:.6g}, {v.vy:.6g}): the ascent diverged or "
+            f"started off the grid"
+        )
+    if abs(v.vx) > w or abs(v.vy) > h:
+        raise OptimizationError(
+            f"velocity beyond the {w}x{h} grid at iteration {it}, "
+            f"v = ({v.vx:.6g}, {v.vy:.6g}) px per half-span: the ascent "
+            f"diverged or started off the grid"
+        )
+    return (v.vx, v.vy)
+
+
 def estimate_motion(
     batch: EventBatch,
     cfg: OptimizerConfig,
@@ -89,76 +111,53 @@ def estimate_motion(
     """Run up to ``cfg.iterations`` ascent steps on the (w, h) ROI grid
     ``shape`` and return the final velocity.
 
-    Each iteration warps the batch at the current velocity, scatters the
-    IWE, gathers contrast and gradient from it, then moves each axis by its
-    own step toward its gradient's sign (not at all on a zero gradient).
-    Each axis's step starts at the constant ``FIRST_STEP`` and halves when
-    its gradient sign flips (Rprop's rule, Riedmiller & Braun 1993, cut down
-    to a halving), so it needs no calibration to the batch and no divide:
-    in hardware, a wired constant and a shift. Once both axes' steps are
-    below ``LEAST_STEP`` after a step's moves, both are cleared to 0.
-    A closing readout at the returned velocity gives the trace's
-    ``final_iwe`` and ``final_contrast``. A readout whose votes all land
-    outside the grid, the closing one included, raises
-    ``OptimizationError``: the velocity has run away. So does a readout at
-    a velocity beyond the grid (|vx| > w or |vy| > h px per half-span) that
-    leaves some vote mass on it.
+    Step rule: each step moves each axis by its own step toward its
+    gradient's sign (not at all on a zero gradient). A step starts at the
+    constant ``FIRST_STEP`` and halves when its axis's gradient sign flips
+    (Rprop's rule, Riedmiller & Braun 1993, cut down to a halving), so it
+    needs no calibration to the batch and no divide: in hardware, a wired
+    constant and a shift.
 
-    A step that leaves the velocity unchanged (each axis at a zero
-    gradient, a cleared step or a step below half an ulp of v) reaches a
-    fixed point, where every later readout would repeat this one bit for
-    bit. The ascent reads out no more: the remaining records repeat this
-    step's at the returned velocity and ``final_iwe`` is this step's IWE,
-    the outputs that all ``cfg.iterations + 1`` readouts give. The first
-    readout after the floor is such a fixed point, so ``cfg.iterations`` is
-    a cap and the trace keeps ``cfg.iterations`` records.
+    Floor: once both steps are below ``LEAST_STEP`` after a step's moves,
+    both are cleared to 0. A step that leaves v unchanged (each axis at a
+    zero gradient, a cleared step or a step below half an ulp of v) is a
+    fixed point, where every later step would repeat it bit for bit, and
+    the remaining records repeat its row. The step after the floor is one,
+    so ``cfg.iterations`` is a cap and the trace keeps ``cfg.iterations``
+    records.
 
-    A readout depends only on the batch, the grid and v, and the steps move
-    on a dyadic lattice, so an ascent often steps back onto a velocity it
-    has read out. A per-call table keyed by ``(v.vx, v.vy)`` holds each
-    readout's contrast and gradient, and such a step reuses its row with no
-    warp, scatter or gather; the outputs are those of a readout at every
-    step, bit for bit. When the ascent returns a velocity whose IWE the grid
-    no longer holds (a cap reached on a table hit), one more scatter at it
-    gives ``final_iwe``. ``trace.readouts`` counts the scatters run.
+    Table: a readout (warp, scatter, the run-away checks of ``_read_out``,
+    then contrast and gradient) depends only on the batch, the grid and v,
+    and the steps move on a dyadic lattice, so an ascent often steps back
+    onto a velocity it has read out. A per-call table keyed by
+    ``(v.vx, v.vy)`` holds each readout's contrast and gradient, and such a
+    step reuses its row with no readout.
+
+    Closing readout: when the grid does not hold the IWE of the returned
+    velocity (the last step moved, or the ascent ended on a table hit), one
+    more readout at it gives ``final_iwe`` and ``final_contrast``, with the
+    same checks. ``trace.readouts`` is one per distinct velocity read out,
+    plus the closing one. Every output is bit for bit the one a readout at
+    every step and at the returned velocity gives.
     """
     n = len(batch)
     if n == 0:
         raise ValueError("cannot estimate motion from an empty batch")
     grid = IweScatter(n, shape)
-    w, h = shape
     # (c, g_vx, g_vy) of every velocity read out, keyed by (vx, vy); the keys
     # -0.0 and 0.0 collide, and their warps are bit-equal
     rows: dict[tuple[float, float], tuple[float, float, float]] = {}
     held = None  # the key of the velocity whose IWE grid holds
-    readouts = 0
 
     v = cfg.v_init
     steps = [FIRST_STEP, FIRST_STEP]
     signs = [0, 0]
     records: list[IterationRecord] = []
-    for it in range(cfg.iterations + 1):
+    for it in range(cfg.iterations):
         key = (v.vx, v.vy)
         row = rows.get(key)
         if row is None:
-            grid.scatter(warp_batch(batch, v))
-            readouts += 1
-            held = key
-            if not grid.in_bounds_mass > 0.0:
-                raise OptimizationError(
-                    f"no vote mass inside the grid at iteration {it}, "
-                    f"v = ({v.vx:.6g}, {v.vy:.6g}): the ascent diverged or "
-                    f"started off the grid"
-                )
-            if abs(v.vx) > w or abs(v.vy) > h:
-                raise OptimizationError(
-                    f"velocity beyond the {w}x{h} grid at iteration {it}, "
-                    f"v = ({v.vx:.6g}, {v.vy:.6g}) px per half-span: the ascent "
-                    f"diverged or started off the grid"
-                )
-        if it == cfg.iterations:
-            break
-        if row is None:
+            held = _read_out(grid, batch, v, it)
             row = rows[key] = evaluate(grid)
             if not (math.isfinite(row[1]) and math.isfinite(row[2])):
                 raise OptimizationError(f"non-finite gradient at iteration {it}")
@@ -179,9 +178,7 @@ def estimate_motion(
             # no step and move nowhere, so every later step repeats this row
             records += [IterationRecord(v, c, g_vx, g_vy)] * (cfg.iterations - it - 1)
             break
-    if held != (v.vx, v.vy):
-        # the ascent ended on a table hit; its velocity was checked when first
-        # read out, and final_iwe needs its IWE
-        grid.scatter(warp_batch(batch, v))
-        readouts += 1
-    return v, OptimizationTrace(records, grid.iwe, readouts)
+    closing = held != (v.vx, v.vy)
+    if closing:
+        _read_out(grid, batch, v, cfg.iterations)
+    return v, OptimizationTrace(records, grid.iwe, len(rows) + closing)

@@ -7,7 +7,7 @@ weights (``_stencil``), and each image is one ``np.bincount`` of votes
 holds the IWE, ``gather`` reads any image against the weights' velocity
 derivatives, and ``derivative_votes`` gives those derivatives as votes.
 
-* The estimator scatters each ascent step's IWE and gathers its gradient.
+* The estimator scatters the IWE of each readout and gathers its gradient.
 * ``NaiveAccumulator`` and ``BankedAccumulator`` share one readout window,
   the batches of every ``accumulate`` call since the last readout. At
   ``read_and_clear`` they vote its concatenated columns through one
@@ -27,7 +27,7 @@ every pixel is the same sequential sum wherever it is voted, however a
 window was cut into calls. Off-grid corners land in a PAD-pixel ring.
 
 Batch-sized temporaries of hundreds of KB go back to the OS and are
-page-faulted in again on every ascent iteration, which costs more than the
+page-faulted in again on every readout, which costs more than the
 arithmetic, so ``IweScatter`` keeps its buffers for the whole ascent.
 """
 
@@ -150,7 +150,7 @@ class IweScatter:
     and at the kept stencil any image gathered and the derivative votes.
 
     The (n, 4) stencil and gather buffers of a batch of ``n_events`` events
-    are allocated once, here, and reused by every ascent iteration. After
+    are allocated once, here, and reused by every readout. After
     ``scatter``, ``iwe`` is the (h, w) image of warped events and
     ``in_bounds_mass`` its sum; the next ``scatter`` makes a new ``iwe``.
     """

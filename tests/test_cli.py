@@ -1,9 +1,13 @@
 """Command-line interface."""
 
+import json
+from dataclasses import asdict
+
 import pytest
 
 from evcm import cli
 from evcm.cli import main
+from evcm.synth import SceneConfig
 
 
 @pytest.fixture
@@ -146,6 +150,11 @@ class TestSynthCommand:
         assert (tmp_path / "a" / "events.txt").read_bytes() == (
             tmp_path / "b" / "events.txt"
         ).read_bytes()
+
+    def test_flag_defaults_are_the_scene_defaults(self, tmp_path):
+        assert main(["synth", "--output-dir", str(tmp_path)]) == 0
+        truth = json.loads((tmp_path / "truth.json").read_text(encoding="ascii"))
+        assert truth["config"] == json.loads(json.dumps(asdict(SceneConfig())))
 
     @pytest.mark.parametrize(
         "argv,message",

@@ -93,6 +93,19 @@ class TestEstimateMotion:
                            match=r"beyond the 64x64 grid at iteration 0, v = \(70, 0\)"):
             estimate_motion(batch, OptimizerConfig(iterations=3, v_init=v0), shape=(64, 64))
 
+    def test_non_finite_gradient_raises(self, monkeypatch):
+        # a NaN gradient has no sign to step by; the step that reads it fails
+        calls = []
+
+        def nan_on_third_call(grid):
+            c, g_vx, g_vy = evaluate(grid)
+            calls.append(c)
+            return (c, math.nan, g_vy) if len(calls) == 3 else (c, g_vx, g_vy)
+
+        monkeypatch.setattr("evcm.optimizer.evaluate", nan_on_third_call)
+        with pytest.raises(OptimizationError, match="non-finite gradient at iteration 2"):
+            estimate_motion(small_scene_batch(), OptimizerConfig(), shape=(64, 64))
+
     def test_single_step_contract(self, rng):
         # the first step moves each axis by 1 px per half-span toward its
         # gradient's sign
@@ -247,6 +260,12 @@ def scene_case(velocity, seed, n):
     return small_scene_batch(velocity, seed, n, noise=0.05), OptimizerConfig()
 
 
+def revisit_scene(n):
+    """A scene whose ascents from v = 0 step back onto a velocity they read
+    out before, at n = 820 (once) and n = 9500 (at steps 6, 8 and 10)."""
+    return small_scene_batch((-3.29, 3.33), 4201, n, noise=0.05)
+
+
 # case -> (batch, config); the scene velocities and seeds were fixed before
 # the test first ran, not chosen by its outcome
 EXIT_CASES = {
@@ -260,6 +279,13 @@ EXIT_CASES = {
         flat_batch(), OptimizerConfig(iterations=4, v_init=Velocity(-0.0, -0.0))),
     "T5": lambda: (small_scene_batch(), OptimizerConfig(iterations=5)),
     "T300": lambda: (small_scene_batch(n=5000), OptimizerConfig(iterations=300)),
+    # the uncapped ascent of revisit_scene(9500) reaches its fixed point at
+    # step 17. A cap at 6, 8 or 10 returns a velocity read out before, whose
+    # IWE the grid no longer holds; the other caps return a new velocity or
+    # the fixed point
+    **{f"revisit-cap{cap}": (lambda cap=cap: (revisit_scene(9500),
+                                              OptimizerConfig(iterations=cap)))
+       for cap in range(1, 20)},
 }
 
 
@@ -280,12 +306,6 @@ def test_fixed_point_exit_matches_every_iteration_ascent(case, readouts):
         # each of its steps starts at a new velocity, and the cap returns
         # row 2's, whose IWE the grid no longer holds and is scattered again
         assert reads == cfg.iterations + 1
-
-
-def revisit_scene(n):
-    """A scene whose ascents from v = 0 step back onto a velocity they read
-    out before, at n = 820 (once) and n = 9500 (at steps 6, 8 and 10)."""
-    return small_scene_batch((-3.29, 3.33), 4201, n, noise=0.05)
 
 
 def capped_at_second_revisit(batch):

@@ -118,6 +118,17 @@ class TestTrack:
         res = track(sc, cfg)
         assert len(res) == 1
 
+    @pytest.mark.parametrize("remnant,rows", [(9, 2), (10, 3)])
+    def test_trailing_remnant_needs_min_roi_events(self, remnant, rows):
+        # a partial last batch is tracked only if it holds at least
+        # min_roi_events (10) events
+        sc = scene_events(velocity=(2.0, -1.5), batches=3, noise=0.0)
+        cfg = TrackerConfig(batch_size=2000, roi_init=Roi(18, 68, 64, 64))
+        res = track(sc[: 2 * 2000 + remnant], cfg)
+        assert len(res) == rows
+        if rows == 3:
+            assert res.records[-1].events_in_roi == remnant
+
     def test_empty_roi_skips_and_keeps_velocity(self):
         sc = scene_events(batches=3, noise=0.0)
         v0 = Velocity(1.5, -0.5)
