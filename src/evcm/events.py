@@ -17,6 +17,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,13 @@ class EventBatch:
 
     def __len__(self) -> int:
         return int(self.xs.shape[0])
+
+    @cached_property
+    def xy(self) -> np.ndarray:
+        """The coordinates as the float64 rows x, y of one (2, n) block,
+        converted on first use and kept with the batch, whose columns are
+        not written after it is built."""
+        return np.array((self.xs, self.ys), dtype=np.float64)
 
 
 # Only "\n" ends a line: "\r" (as in CRLF files) becomes field whitespace, and
@@ -244,22 +252,24 @@ def filter_roi(batch: EventBatch, roi: Roi) -> EventBatch:
     The original batch's reference time and normalization scale are kept.
     The result may be empty; callers must handle that. Filtering an
     already-filtered batch with the same ROI is a no-op (the containment
-    test is evaluated in the batch's own coordinate frame).
+    test is evaluated in the batch's own coordinate frame). The test is
+    exact while each coordinate's offset from the ROI origin fits in int64,
+    as it does for any coordinates of at least 0.
     """
     gx0 = int(np.floor(roi.x0))
     gy0 = int(np.floor(roi.y0))
-    lx0 = gx0 - batch.origin[0]
-    ly0 = gy0 - batch.origin[1]
-    mask = (
-        (batch.xs >= lx0)
-        & (batch.xs < lx0 + roi.w)
-        & (batch.ys >= ly0)
-        & (batch.ys < ly0 + roi.h)
-    )
+    xs = batch.xs - (gx0 - batch.origin[0])
+    ys = batch.ys - (gy0 - batch.origin[1])
+    # 0 <= x < w as one unsigned compare: a negative x reads as >= 2^63
+    mask = xs.view(np.uint64) < roi.w
+    mask &= ys.view(np.uint64) < roi.h
+    # three gathers at the kept positions cost less than three boolean-mask
+    # selections, each of which scans the mask again
+    kept = np.flatnonzero(mask)
     return replace(
         batch,
-        xs=batch.xs[mask] - lx0,
-        ys=batch.ys[mask] - ly0,
-        norm_dts=batch.norm_dts[mask],
+        xs=xs[kept],
+        ys=ys[kept],
+        norm_dts=batch.norm_dts[kept],
         origin=(gx0, gy0),
     )

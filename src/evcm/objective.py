@@ -10,21 +10,29 @@ import numpy as np
 from .voting import IweScatter
 
 
+def _variance(centred: np.ndarray) -> float:
+    """Σ (I − μ)²/P of the centred image; numpy's pairwise summation keeps
+    the reduction reproducible."""
+    return float((centred ** 2).sum()) / centred.size
+
+
 def contrast(iwe: np.ndarray) -> tuple[float, float]:
     """Population variance and mean of the accumulated image.
 
     The divisor is the full pixel count, including pixels that received no
-    votes. numpy's pairwise summation keeps the reduction reproducible.
+    votes.
     """
     if iwe.size == 0:
         raise ValueError("contrast of an empty grid is undefined")
     mu = float(iwe.sum()) / iwe.size
-    return float(((iwe - mu) ** 2).sum()) / iwe.size, mu
+    return _variance(iwe - mu), mu
 
 
 def evaluate(s: IweScatter) -> tuple[float, float, float]:
-    """Contrast and its (vx, vy) gradient at the IWE ``s`` last scattered."""
-    c, mu = contrast(s.iwe)
-    g_vx, g_vy = s.gather(s.iwe - mu)
+    """Contrast and its (vx, vy) gradient at the IWE ``s`` last scattered.
+    μ is its ``in_bounds_mass`` over P, the same sum ``contrast`` takes, and
+    I − μ is formed once for the variance and the gather."""
+    centred = s.iwe - s.in_bounds_mass / s.iwe.size
+    g_vx, g_vy = s.gather(centred)
     scale = 2.0 / s.iwe.size
-    return c, scale * g_vx, scale * g_vy
+    return _variance(centred), scale * g_vx, scale * g_vy

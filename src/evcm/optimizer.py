@@ -81,12 +81,14 @@ class OptimizationTrace:
         return buf.getvalue()
 
 
-def _read_out(grid: IweScatter, batch: EventBatch, v: Velocity, it: int) -> tuple[float, float]:
-    """Scatter the IWE of ``batch`` warped at ``v`` into ``grid`` and return
-    the key ``(v.vx, v.vy)`` of the velocity it holds. Raise
-    ``OptimizationError`` at step ``it`` when ``v`` has run away: no vote
-    mass is left on the grid, or |v| exceeds the grid's sides."""
-    grid.scatter(warp_batch(batch, v))
+def _read_out(grid: IweScatter, batch: EventBatch, v: Velocity, it: int,
+              warped: np.ndarray) -> tuple[float, float]:
+    """Scatter the IWE of ``batch`` warped at ``v`` into ``grid``, the warp
+    written into the (2, n) buffer ``warped``, and return the key
+    ``(v.vx, v.vy)`` of the velocity it holds. Raise ``OptimizationError``
+    at step ``it`` when ``v`` has run away: no vote mass is left on the
+    grid, or |v| exceeds the grid's sides."""
+    grid.scatter(warp_batch(batch, v, out=warped))
     w, h = grid.shape
     if not grid.in_bounds_mass > 0.0:
         raise OptimizationError(
@@ -144,6 +146,7 @@ def estimate_motion(
     if n == 0:
         raise ValueError("cannot estimate motion from an empty batch")
     grid = IweScatter(n, shape)
+    warped = np.empty((2, n))
     # (c, g_vx, g_vy) of every velocity read out, keyed by (vx, vy); the keys
     # -0.0 and 0.0 collide, and their warps are bit-equal
     rows: dict[tuple[float, float], tuple[float, float, float]] = {}
@@ -157,7 +160,7 @@ def estimate_motion(
         key = (v.vx, v.vy)
         row = rows.get(key)
         if row is None:
-            held = _read_out(grid, batch, v, it)
+            held = _read_out(grid, batch, v, it, warped)
             row = rows[key] = evaluate(grid)
             if not (math.isfinite(row[1]) and math.isfinite(row[2])):
                 raise OptimizationError(f"non-finite gradient at iteration {it}")
@@ -180,5 +183,5 @@ def estimate_motion(
             break
     closing = held != (v.vx, v.vy)
     if closing:
-        _read_out(grid, batch, v, cfg.iterations)
+        _read_out(grid, batch, v, cfg.iterations, warped)
     return v, OptimizationTrace(records, grid.iwe, len(rows) + closing)

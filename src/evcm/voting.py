@@ -2,16 +2,18 @@
 accumulators of the IWE and its two velocity-derivative images.
 
 Each warped event spreads over its four neighboring pixels with bilinear
-weights (``_stencil``), and each image is one ``np.bincount`` of votes
-(``_image``). ``IweScatter`` votes a batch once and keeps its stencil: it
-holds the IWE, ``gather`` reads any image against the weights' velocity
-derivatives, and ``derivative_votes`` gives those derivatives as votes.
+weights, and each image is one ``np.bincount`` of votes (``_image``).
+``IweScatter`` votes a batch once and keeps its stencil: it holds the IWE,
+``gather`` reads any image against the weights' velocity derivatives, and
+``derivative_votes`` gives those derivatives as votes. A warped batch is
+one (2, n) block of x' and y' rows, and each stencil step (floor, fraction,
+complement, clamp) is one call over both rows.
 
 * The estimator scatters the IWE of each readout and gathers its gradient.
 * ``NaiveAccumulator`` and ``BankedAccumulator`` share one readout window,
   the batches of every ``accumulate`` call since the last readout. At
-  ``read_and_clear`` they vote its concatenated columns through one
-  ``IweScatter``, whose derivative votes give the other two images.
+  ``read_and_clear`` they vote its blocks, concatenated into one, through
+  one ``IweScatter``, whose derivative votes give the other two images.
 * ``BankedAccumulator`` models the hardware datapath: 12 memory banks
   (3 image roles x 4 coordinate-parity banks), each a 3-stage
   read-modify-write pipeline with a 3-entry forwarding buffer resolving
@@ -28,7 +30,8 @@ window was cut into calls. Off-grid corners land in a PAD-pixel ring.
 
 Batch-sized temporaries of hundreds of KB go back to the OS and are
 page-faulted in again on every readout, which costs more than the
-arithmetic, so ``IweScatter`` keeps its buffers for the whole ascent.
+arithmetic, so ``IweScatter`` keeps its stencil and gather buffers for the
+whole ascent, and the estimator warps into one kept block.
 """
 
 from __future__ import annotations
@@ -77,48 +80,6 @@ def write_pgm(grid: np.ndarray, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _stencil(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int],
-             P: np.ndarray, W: np.ndarray, F: np.ndarray) -> None:
-    """Bilinear stencil of a run of n warped events, written into P, W, F.
-
-    P and W are (n, 4), event-major with the fixed corner order (i,j),
-    (i+1,j), (i,j+1), (i+1,j+1): P indexes the flattened grid padded by PAD
-    pixels per side, W holds the bilinear weights. F is (4, n) and receives
-    the fractional offsets dx, dy and their complements 1 - dx, 1 - dy. The
-    floor coordinates are clamped to [-PAD, w] x [-PAD, h] first, so a
-    stencil that leaves the grid lands in the padding ring whatever its
-    distance, and the int cast cannot overflow (fmin/fmax also send NaN
-    there). Clamping only moves stencils that are wholly off the grid; the
-    weights come from the unclamped floor. Every step writes into the given
-    buffers, so a call allocates nothing sized by n.
-    """
-    w_dim, h_dim = shape
-    pw = w_dim + 2 * PAD
-    dx, dy, one_dx, one_dy = F
-    fx = np.floor(xs, out=one_dx)  # the floors borrow the complements' rows
-    fy = np.floor(ys, out=one_dy)
-    np.subtract(xs, fx, out=dx)
-    np.subtract(ys, fy, out=dy)
-    np.fmax(np.fmin(fx, w_dim, out=fx), -PAD, out=fx)
-    np.fmax(np.fmin(fy, h_dim, out=fy), -PAD, out=fy)
-    # the padded index (j + PAD) * pw + (i + PAD); exact in float64, as the
-    # clamp bounds it, and cast to intp on assignment
-    fy *= pw
-    fy += fx
-    fy += PAD * pw + PAD
-    P[:, 0] = fy
-    base = P[:, 0]
-    np.add(base, 1, out=P[:, 1])
-    np.add(base, pw, out=P[:, 2])
-    np.add(base, pw + 1, out=P[:, 3])
-    np.subtract(1.0, dx, out=one_dx)
-    np.subtract(1.0, dy, out=one_dy)
-    np.multiply(one_dx, one_dy, out=W[:, 0])
-    np.multiply(dx, one_dy, out=W[:, 1])
-    np.multiply(one_dx, dy, out=W[:, 2])
-    np.multiply(dx, dy, out=W[:, 3])
-
-
 def _check_grid(shape: tuple[int, int]) -> None:
     w, h = shape
     if w < 2 or h < 2:
@@ -149,27 +110,69 @@ class IweScatter:
     """One batch's votes: the IWE, scattered by one ``bincount`` per call,
     and at the kept stencil any image gathered and the derivative votes.
 
-    The (n, 4) stencil and gather buffers of a batch of ``n_events`` events
-    are allocated once, here, and reused by every readout. After
-    ``scatter``, ``iwe`` is the (h, w) image of warped events and
-    ``in_bounds_mass`` its sum; the next ``scatter`` makes a new ``iwe``.
+    The stencil and gather buffers of a batch of ``n_events`` events are
+    allocated once, here, and reused by every readout. After ``scatter``,
+    ``iwe`` is the (h, w) image of warped events and ``in_bounds_mass`` its
+    sum; the next ``scatter`` makes a new ``iwe``.
     """
 
     def __init__(self, n_events: int, shape: tuple[int, int]) -> None:
         _check_grid(shape)
         w, h = shape
+        pw = w + 2 * PAD
+        base = PAD * pw + PAD
         self.shape = shape
         self._index = np.empty((n_events, 4), dtype=np.intp)
         self._weight = np.empty((n_events, 4))
         self._corners = np.empty((n_events, 4))  # gather target
-        self._frac = np.empty((4, n_events))  # dx, dy, 1 - dx, 1 - dy
+        self._terms = np.empty((4, n_events))  # gather's per-event terms
+        # rows dx, dy, 1 - dx, 1 - dy and ones; while the index is built,
+        # rows 2-4 hold each event's (i, j, 1): its floors and a 1
+        self._rows = np.empty((5, n_events))
+        self._rows[4] = 1.0
+        self._frac = self._rows[:4]
+        # (i, j, 1) @ _to_index is the padded index (j + PAD) * pw + i + PAD
+        # of the corners (i, j), (i+1, j), (i, j+1), (i+1, j+1)
+        self._to_index = np.array(((1.0,) * 4, (pw,) * 4,
+                                   (base, base + 1, base + pw, base + pw + 1)))
+        self._top = np.array(((w,), (h,)), dtype=np.float64)  # the floors' upper clamp
         # the gathered image on the padded grid; the ring stays 0, so
         # corners that left the grid gather nothing
         self._padded = np.zeros((h + 2 * PAD, w + 2 * PAD))
 
     def scatter(self, warped: WarpedBatch) -> None:
+        """Build the bilinear stencil of ``warped`` and sum its IWE.
+
+        ``_index`` and ``_weight`` are (n, 4), event-major with the fixed
+        corner order (i,j), (i+1,j), (i,j+1), (i+1,j+1): the index into the
+        grid padded by PAD pixels per side and the bilinear weight. ``_frac``
+        holds the fractional offsets dx, dy and their complements. Each step
+        runs once over both coordinate rows and writes into the kept
+        buffers, so a readout allocates nothing sized by n.
+
+        The floors are clamped to [-PAD, w] x [-PAD, h] before the index is
+        built, so a stencil that leaves the grid lands in the padding ring
+        whatever its distance, and the int cast cannot overflow (fmin/fmax
+        also send NaN there). Clamping only moves stencils that are wholly
+        off the grid; the weights come from the unclamped floor. The index
+        is one matrix product of integers below 2^53, so it is exact in
+        float64 whatever order the product sums in.
+        """
         self._dts = warped.dts
-        _stencil(warped.xs, warped.ys, self.shape, self._index, self._weight, self._frac)
+        xy = warped.xy
+        # the floors borrow the complements' rows
+        frac, floor = self._frac[:2], self._frac[2:]
+        np.floor(xy, out=floor)
+        np.subtract(xy, floor, out=frac)
+        np.fmax(np.fmin(floor, self._top, out=floor), -PAD, out=floor)
+        np.matmul(self._rows[2:].T, self._to_index, out=self._index, casting="unsafe")
+        np.subtract(1.0, frac, out=floor)
+        dx, dy, one_dx, one_dy = self._frac
+        W = self._weight
+        np.multiply(one_dx, one_dy, out=W[:, 0])
+        np.multiply(dx, one_dy, out=W[:, 1])
+        np.multiply(one_dx, dy, out=W[:, 2])
+        np.multiply(dx, dy, out=W[:, 3])
         self.iwe = _image(self._index, self._weight, self.shape)
         self.in_bounds_mass = float(self.iwe.sum())
 
@@ -190,13 +193,16 @@ class IweScatter:
         an (h, w) ``image``, I being the IWE last scattered: each event reads
         ``image`` at its stencil corners, and corners off the grid read 0."""
         self._padded[PAD:-PAD, PAD:-PAD] = image
-        c0, c1, c2, c3 = np.take(self._padded.ravel(), self._index,
-                                 out=self._corners, mode="clip").T
-        dx, dy, one_dx, one_dy = self._frac
-        # ∂x'/∂vx = -dt, so ∂w/∂vx per corner is dt·(1−dy, −(1−dy), dy, −dy)
-        g_vx = np.dot(self._dts, one_dy * (c0 - c1) + dy * (c2 - c3))
-        g_vy = np.dot(self._dts, one_dx * (c0 - c2) + dx * (c1 - c3))
-        return float(g_vx), float(g_vy)
+        c = np.take(self._padded.ravel(), self._index, out=self._corners, mode="clip").T
+        # ∂x'/∂vx = -dt, so ∂w/∂vx per corner is dt·(1−dy, −(1−dy), dy, −dy);
+        # the rows (1−dy)(c0−c1), (1−dx)(c0−c2), dy(c2−c3), dx(c1−c3) pair
+        # up into the vx and vy terms, each as one call over all four rows
+        t = self._terms
+        np.subtract(c[0::2], c[1::2], out=t[0::2])
+        np.subtract(c[:2], c[2:], out=t[1::2])
+        np.multiply(self._frac[::-1], t, out=t)
+        np.add(t[:2], t[2:], out=t[:2])
+        return float(np.dot(self._dts, t[0])), float(np.dot(self._dts, t[1]))
 
 
 def _hazards(s: IweScatter, d_vx: np.ndarray, d_vy: np.ndarray) -> np.ndarray:
@@ -243,10 +249,10 @@ class _Accumulator:
     def _votes(self) -> tuple[IweScatter, np.ndarray, np.ndarray]:
         """The window's batches concatenated in call order and voted once:
         their ``IweScatter`` and its derivative votes."""
-        xs, ys, dts = (np.concatenate([np.empty(0), *(getattr(w, col) for w in self._window)])
-                       for col in ("xs", "ys", "dts"))
-        s = IweScatter(len(xs), self.shape)
-        s.scatter(WarpedBatch(xs, ys, dts))
+        xy = np.concatenate([np.empty((2, 0)), *(w.xy for w in self._window)], axis=1)
+        dts = np.concatenate([np.empty(0), *(w.dts for w in self._window)])
+        s = IweScatter(len(dts), self.shape)
+        s.scatter(WarpedBatch(xy, dts))
         return (s, *s.derivative_votes())
 
     def _read(self, s: IweScatter, d_vx: np.ndarray, d_vy: np.ndarray) -> ImageSet:

@@ -24,20 +24,30 @@ class Velocity:
 
 @dataclass(frozen=True)
 class WarpedBatch:
-    """Column-oriented warped batch: sub-pixel, ROI-local coordinates."""
+    """Column-oriented warped batch: sub-pixel, ROI-local coordinates, held
+    as the rows x', y' of one (2, n) block."""
 
-    xs: np.ndarray   # float64
-    ys: np.ndarray   # float64
+    xy: np.ndarray   # (2, n) float64
     dts: np.ndarray  # float64, normalized
 
+    @property
+    def xs(self) -> np.ndarray:
+        return self.xy[0]
+
+    @property
+    def ys(self) -> np.ndarray:
+        return self.xy[1]
+
     def __len__(self) -> int:
-        return int(self.xs.shape[0])
+        return int(self.dts.shape[0])
 
 
-def warp_batch(batch: EventBatch, v: Velocity) -> WarpedBatch:
+def warp_batch(batch: EventBatch, v: Velocity, out: np.ndarray | None = None) -> WarpedBatch:
     """Warp every event in the batch: x' = x - dt*vx, y' = y - dt*vy; order
-    preserved, coordinates unclamped."""
+    preserved, coordinates unclamped. The rows are written into ``out``, a
+    (2, n) float64 buffer, when one is given, so a caller that warps the
+    same batch at many velocities allocates nothing sized by n."""
     dts = batch.norm_dts
-    xs = batch.xs - dts * v.vx  # int64 columns promote to float64 as astype would
-    ys = batch.ys - dts * v.vy
-    return WarpedBatch(xs, ys, dts)
+    xy = np.multiply(dts, np.array(((v.vx,), (v.vy,))), out=out)
+    np.subtract(batch.xy, xy, out=xy)
+    return WarpedBatch(xy, dts)

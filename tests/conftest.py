@@ -93,8 +93,9 @@ def rng() -> np.random.Generator:
 @pytest.fixture
 def readouts(monkeypatch):
     """``readouts()`` is the number of IWE readouts (``IweScatter.scatter``
-    calls) made since the test started; ``readouts.votes`` lists how many
-    events each of them voted."""
+    calls, the one entry of every ascent readout and accumulator vote) made
+    since the test started; ``readouts.votes`` lists how many events each
+    of them voted."""
     votes: list[int] = []
     scatter = IweScatter.scatter
 

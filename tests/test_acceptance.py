@@ -165,7 +165,7 @@ def _random_stream(rng, adversarial):
     else:
         xs = rng.uniform(1, 14, n)
         ys = rng.uniform(1, 14, n)
-    return WarpedBatch(xs=xs, ys=ys, dts=rng.uniform(-1, 1, n))
+    return WarpedBatch(np.stack((xs, ys)), rng.uniform(-1, 1, n))
 
 
 def test_criterion_4_banked_accumulator_equivalence():
@@ -272,7 +272,7 @@ def test_criterion_8a_voting_invariants_100k_events():
     rng = np.random.default_rng(8)
     n = 100_000
     warped = WarpedBatch(
-        xs=rng.uniform(1, 62, n), ys=rng.uniform(1, 62, n), dts=rng.uniform(-1, 1, n)
+        np.stack((rng.uniform(1, 62, n), rng.uniform(1, 62, n))), rng.uniform(-1, 1, n)
     )
     grid = scatter_iwe(warped, (64, 64))
     W, (DWX, DWY) = grid._weight, grid.derivative_votes()

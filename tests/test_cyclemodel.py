@@ -169,7 +169,7 @@ class TestBankedIssueRate:
         # later, which is a hit only while the first is still in flight
         xs, ys = np.meshgrid(np.arange(0.5, 16, 2.0), np.arange(0.5, 16, 2.0))
         laps = np.tile(np.arange(period), 3)
-        warped = WarpedBatch(xs.ravel()[laps], ys.ravel()[laps], np.full(laps.size, 0.5))
+        warped = WarpedBatch(np.stack((xs.ravel(), ys.ravel()))[:, laps], np.full(laps.size, 0.5))
         acc = banked_readout(warped, (16, 16))
         oracle = BankedDatapathOracle((16, 16))
         oracle.accumulate(warped)

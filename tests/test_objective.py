@@ -17,7 +17,7 @@ def warped_on_pixels(rng, grid):
     random normalized times."""
     w, h = grid
     jj, ii = np.mgrid[0:h, 0:w]
-    return WarpedBatch(ii.ravel().astype(float), jj.ravel().astype(float),
+    return WarpedBatch(np.stack((ii.ravel(), jj.ravel())).astype(float),
                        rng.uniform(-1, 1, w * h))
 
 
@@ -58,7 +58,7 @@ class TestAnalyticGradient:
     def test_zero_derivative_images(self, rng):
         # events at the reference time do not move with v: both derivative
         # images are 0, and so is the gathered gradient
-        warped = WarpedBatch(rng.uniform(0, 7, 50), rng.uniform(0, 7, 50), np.zeros(50))
+        warped = WarpedBatch(np.stack((rng.uniform(0, 7, 50), rng.uniform(0, 7, 50))), np.zeros(50))
         imgs = accumulate_images(warped, (8, 8))
         assert not imgs.d_vx.any() and not imgs.d_vy.any()
         _, g_vx, g_vy = evaluate(scatter_iwe(warped, (8, 8)))
@@ -77,7 +77,7 @@ class TestAnalyticGradient:
         # triple, so contrast and gradient grow ninefold
         batch = random_interior_batch(rng, 300)
         warped = warp_batch(batch, Velocity(0.7, -1.1))
-        tripled = WarpedBatch(*(np.repeat(a, 3) for a in (warped.xs, warped.ys, warped.dts)))
+        tripled = WarpedBatch(np.repeat(warped.xy, 3, axis=1), np.repeat(warped.dts, 3))
         c1, gx1, gy1 = evaluate(scatter_iwe(warped, (64, 64)))
         c3, gx3, gy3 = evaluate(scatter_iwe(tripled, (64, 64)))
         assert c3 == pytest.approx(9 * c1, rel=1e-12)

@@ -9,10 +9,10 @@ import pytest
 from evcm.events import make_batch
 from evcm.objective import contrast, evaluate
 from evcm.optimizer import (
-    LEAST_STEP, OptimizationError, OptimizerConfig, estimate_motion,
+    LEAST_STEP, OptimizationError, OptimizerConfig, _read_out, estimate_motion,
 )
 from evcm.synth import SceneConfig, generate_scene
-from evcm.voting import BankedAccumulator
+from evcm.voting import BankedAccumulator, IweScatter
 from evcm.warp import Velocity, warp_batch
 
 from conftest import accumulate_images, event_array, random_interior_batch, scatter_iwe
@@ -248,6 +248,47 @@ def test_ascent_steps_do_not_page_fault(n, readouts):
     # from v = (-50, 0) leaves enough readouts for a per-readout fault to show
     assert reads >= 50
     assert (faults - faults_1) / (reads - reads_1) < 1.0
+
+
+def edge_batch(rng, n):
+    """n events on the 64x64 grid's edge rows and columns (0, 1, 62, 63)
+    over a 20 ms batch: at v = 0 the corners i + 1 and j + 1 of the last
+    row and column fall in the padding ring."""
+    ts = np.linspace(0, 20_000, n).round().astype(np.int64)
+    edges = np.array([0, 1, 62, 63])
+    return make_batch(event_array(ts, rng.choice(edges, n), rng.choice(edges, n)))
+
+
+def readout_bytes(grid):
+    """Everything a readout leaves on ``grid``, as bytes: stencil, IWE,
+    in-bounds mass, contrast and gradient."""
+    return [grid._index.tobytes(), grid._weight.tobytes(), grid.iwe.tobytes(),
+            np.array([grid.in_bounds_mass, *evaluate(grid)]).tobytes()]
+
+
+@pytest.mark.parametrize("n", [1, 9500])
+@pytest.mark.parametrize("events", ["edges", "interior"])
+def test_ascent_readout_matches_a_fresh_scatter(events, n, rng):
+    # the ascent warps into a kept block and scatters into kept buffers,
+    # one velocity after another; each readout must be byte for byte a
+    # fresh warp scattered by a fresh IweScatter, as the accumulators vote.
+    # |v| = 1e6 carries every event with |dt| > 1e-4 off the grid (all of
+    # the 9500 edge events, none of which sits at dt = 0), and the later
+    # readouts find any state those left behind
+    batch = edge_batch(rng, n) if events == "edges" else random_interior_batch(rng, n)
+    grid, warped = IweScatter(n, (64, 64)), np.empty((2, n))
+    for vx, vy in [(0.0, 0.0), (-0.0, -0.0), (1e6, 0.0), (0.0, -1e6), (-1e6, 1e6),
+                   (0.75, -1.25), (0.0, 0.0)]:
+        v = Velocity(vx, vy)
+        off_grid = abs(vx) > 64 or abs(vy) > 64
+        if off_grid:
+            with pytest.raises(OptimizationError):
+                _read_out(grid, batch, v, 0, warped)
+        else:
+            _read_out(grid, batch, v, 0, warped)
+        assert readout_bytes(grid) == readout_bytes(scatter_iwe(warp_batch(batch, v), (64, 64)))
+        if events == "edges" and n > 1:
+            assert (grid.in_bounds_mass == 0.0) == off_grid
 
 
 def flat_batch():

@@ -23,11 +23,8 @@ from oracles import (
 
 
 def wbatch(xs, ys, dts) -> WarpedBatch:
-    return WarpedBatch(
-        xs=np.asarray(xs, dtype=np.float64),
-        ys=np.asarray(ys, dtype=np.float64),
-        dts=np.asarray(dts, dtype=np.float64),
-    )
+    return WarpedBatch(np.array((xs, ys), dtype=np.float64),
+                       np.asarray(dts, dtype=np.float64))
 
 
 def random_warped(rng, n, grid=(16, 16), concentrated=False) -> WarpedBatch:
