@@ -254,18 +254,26 @@ def filter_roi(batch: EventBatch, roi: Roi) -> EventBatch:
     already-filtered batch with the same ROI is a no-op (the containment
     test is evaluated in the batch's own coordinate frame). The test is
     exact while each coordinate's offset from the ROI origin fits in int64,
-    as it does for any coordinates of at least 0.
+    as it does for any coordinates of at least 0. An ROI whose origin lies
+    beyond int64's reach of the batch origin holds none of them, and keeps
+    nothing.
     """
     gx0 = int(np.floor(roi.x0))
     gy0 = int(np.floor(roi.y0))
-    xs = batch.xs - (gx0 - batch.origin[0])
-    ys = batch.ys - (gy0 - batch.origin[1])
-    # 0 <= x < w as one unsigned compare: a negative x reads as >= 2^63
-    mask = xs.view(np.uint64) < roi.w
-    mask &= ys.view(np.uint64) < roi.h
-    # three gathers at the kept positions cost less than three boolean-mask
-    # selections, each of which scans the mask again
-    kept = np.flatnonzero(mask)
+    dx = gx0 - batch.origin[0]
+    dy = gy0 - batch.origin[1]
+    xs, ys = batch.xs, batch.ys
+    if max(abs(dx), abs(dy)) < 2**63:
+        xs = xs - dx
+        ys = ys - dy
+        # 0 <= x < w as one unsigned compare: a negative x reads as >= 2^63
+        mask = xs.view(np.uint64) < roi.w
+        mask &= ys.view(np.uint64) < roi.h
+        # three gathers at the kept positions cost less than three
+        # boolean-mask selections, each of which scans the mask again
+        kept = np.flatnonzero(mask)
+    else:
+        kept = np.empty(0, dtype=np.intp)
     return replace(
         batch,
         xs=xs[kept],

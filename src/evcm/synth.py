@@ -19,7 +19,47 @@ import numpy as np
 from .events import EventArray
 
 
-_WRITE_CHUNK = 1 << 14  # events formatted per write
+_WRITE_CHUNK = 1 << 14  # lines formatted per write; bounds the temporaries
+
+
+def _lines(ts, xs, ys, on) -> bytes:
+    """``f"{t} {x} {y} {p}\\n"`` for every row of non-empty int64 columns and
+    a boolean polarity ``on`` (written 1 or 0), formatted as whole columns.
+
+    Each line is laid out in one row of a uint8 block: every number sits
+    right-aligned in a field as wide as the widest of its column, and a mask
+    marks the bytes in use; the masked bytes, in row order, are the text.
+    """
+    fields = []
+    for col in (ts, xs, ys):
+        mag = np.abs(col, dtype=np.int64).view(np.uint64)  # |INT64_MIN| is 2**63
+        top = int(mag.max())
+        # the smallest unsigned type that holds every magnitude divides fastest
+        mag = mag.astype(np.min_scalar_type(top))
+        fields.append((mag, len(str(top)), np.flatnonzero(col < 0)))
+    width = sum(digits + (len(neg) > 0) for _, digits, neg in fields) + 5
+    block = np.empty((len(ts), width), dtype=np.uint8)
+    used = np.ones(block.shape, dtype=bool)
+    end = 0
+    for mag, digits, neg in fields:
+        lead = end + (len(neg) > 0)  # a sign column first, if any number is negative
+        used[:, end:lead] = False
+        end = lead + digits
+        for j in range(end - 1, lead - 1, -1):  # units first
+            q = mag // 10
+            np.add(mag - q * 10, ord("0"), out=block[:, j], casting="unsafe")
+            if j < end - 1:
+                np.not_equal(mag, 0, out=used[:, j])  # no leading zeros
+            mag = q
+        if len(neg):
+            sign = end - 1 - used[neg, lead:end].sum(axis=1)
+            block[neg, sign] = ord("-")
+            used[neg, sign] = True
+        block[:, end] = ord(" ")
+        end += 1
+    np.add(on, ord("0"), out=block[:, end], casting="unsafe")
+    block[:, end + 1] = ord("\n")
+    return block[used].tobytes()
 
 
 @dataclass(frozen=True)
@@ -68,14 +108,20 @@ class SyntheticScene(EventArray):
     truth: dict
 
     def write_events(self, path) -> None:
-        """Write ``t x y p`` lines (polarity 0/1), formatting Python ints in
-        chunks so the formatted text never all sits in memory at once."""
-        cols = (self.ts, self.xs, self.ys, (self.ps >= 0).astype(np.int8))
-        with open(path, "w", encoding="ascii") as fh:
-            # an empty scene still gets its one "\n"
-            for i in range(0, max(len(self), 1), _WRITE_CHUNK):
-                rows = zip(*(c[i : i + _WRITE_CHUNK].tolist() for c in cols))
-                fh.write("\n".join([f"{t} {x} {y} {p}" for t, x, y, p in rows]) + "\n")
+        """Write the events as the ``t x y p`` text that ``parse_events``
+        reads: one line per event, in stream order, each ended by ``"\\n"``,
+        the only line break in the file; ``t`` in integer microseconds,
+        ``x`` and ``y`` in integer pixels, polarity as 0/1, and single spaces
+        between fields. An empty scene writes one ``"\\n"``.
+
+        The lines are formatted ``_WRITE_CHUNK`` events at a time, so the
+        formatting temporaries stay bounded however long the scene is."""
+        cols = (self.ts, self.xs, self.ys, self.ps >= 0)
+        with open(path, "wb") as fh:
+            if not len(self):
+                fh.write(b"\n")
+            for i in range(0, len(self), _WRITE_CHUNK):
+                fh.write(_lines(*(c[i : i + _WRITE_CHUNK] for c in cols)))
 
     def write_truth(self, path) -> None:
         Path(path).write_text(

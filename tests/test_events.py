@@ -252,6 +252,19 @@ class TestFilterRoi:
         out = filter_roi(b, Roi(4.7, 0.0, 2, 2))
         assert list(out.xs) == [1, 0]
 
+    @pytest.mark.parametrize("roi", [Roi(1e300, 0, 64, 64), Roi(2.0**63, 0, 4, 4),
+                                     Roi(-1e300, 0, 4, 4)], ids=["1e300", "2**63", "-1e300"])
+    def test_origin_beyond_int64_keeps_nothing(self, roi):
+        # no int64 coordinate lies in the ROI, so nothing is kept, and the
+        # empty batch is re-based to the ROI's origin as any other is
+        b = batch_from_arrays([0, 1, 2], [0, 5, 2**62], [0, 7, 2**62])
+        out = filter_roi(b, roi)
+        assert len(out) == 0
+        assert out.origin == (int(np.floor(roi.x0)), 0)
+        assert (out.xs.dtype, out.ys.dtype, out.norm_dts.dtype) == (
+            b.xs.dtype, b.ys.dtype, b.norm_dts.dtype)
+        assert len(filter_roi(out, roi)) == 0
+
     @pytest.mark.parametrize("x0,y0", [(math.inf, 0.0), (0.0, -math.inf),
                                        (math.nan, 0.0), (0.0, math.nan)])
     def test_non_finite_origin_rejected(self, x0, y0):

@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from evcm.events import make_batch
-from evcm.synth import SceneConfig, SyntheticScene, generate_scene
+from evcm.events import make_batch, parse_events
+from evcm.synth import _WRITE_CHUNK, SceneConfig, SyntheticScene, generate_scene
 from evcm.warp import Velocity, warp_batch
 
 from oracles import generate_scene_per_batch, write_events_scalar
@@ -147,9 +147,14 @@ class TestGenerateScene:
             SceneConfig(batches=2, events_per_batch=20_000, noise_fraction=0.1, seed=3)
         )
         assert set(sc.ps.tolist()) == {-1, 1}
-        empty = SyntheticScene(*(c[:0] for c in (sc.ts, sc.xs, sc.ys, sc.ps)),
-                               noise_mask=sc.noise_mask[:0], truth={})
-        for scene in (sc, empty):
+        rng = np.random.default_rng(27)
+        scenes = [sc]
+        for n in (0, 1, _WRITE_CHUNK - 1, _WRITE_CHUNK, _WRITE_CHUNK + 1,
+                  3 * _WRITE_CHUNK + 5):
+            scenes.append(SyntheticScene(*(any_int64(rng, n) for _ in range(3)),
+                                         rng.choice(np.array([-1, 1], dtype=np.int8), n),
+                                         noise_mask=np.zeros(n, dtype=bool), truth={}))
+        for scene in scenes:
             scene.write_events(tmp_path / "columnar.txt")
             write_events_scalar(scene, tmp_path / "scalar.txt")
             assert (tmp_path / "columnar.txt").read_bytes() == (
@@ -157,14 +162,30 @@ class TestGenerateScene:
             ).read_bytes()
 
     def test_event_file_format(self, tmp_path):
-        sc = generate_scene(SceneConfig(events_per_batch=10, seed=1))
+        # each scene fills one chunk of the writer and part of a second
         path = tmp_path / "events.txt"
-        sc.write_events(path)
-        from evcm.events import parse_events
+        for kind in ("square", "bar", "points"):
+            sc = generate_scene(SceneConfig(scene=kind, batches=2, events_per_batch=9000,
+                                            noise_fraction=0.05, seed=1))
+            assert _WRITE_CHUNK < len(sc) < 2 * _WRITE_CHUNK
+            sc.write_events(path)
+            evs = parse_events(path, sensor_size=sc.truth["config"]["sensor"])
+            for name in ("ts", "xs", "ys", "ps"):
+                assert getattr(evs, name).dtype == getattr(sc, name).dtype
+                assert np.array_equal(getattr(evs, name), getattr(sc, name)), (kind, name)
 
-        evs = parse_events(path, sensor_size=(240, 180))
-        assert len(evs) == 10
-        assert set(evs.ps.tolist()) <= {-1, 1}
+
+def any_int64(rng, n):
+    """n int64 values of every digit count from 1 to 19, mixed, with either
+    sign, and 0, -1, INT64_MIN and INT64_MAX among them when n allows."""
+    digits = np.arange(n) % 19 + 1
+    rng.shuffle(digits)
+    low = 10 ** (digits - 1)
+    high = np.where(digits < 19, 10 ** np.minimum(digits, 18), np.iinfo(np.int64).max)
+    values = rng.integers(low, high) * rng.choice(np.array([-1, 1]), n)
+    special = [0, -1, np.iinfo(np.int64).min, np.iinfo(np.int64).max]
+    values[rng.permutation(n)[: len(special)]] = special[: n]
+    return values
 
 
 # Every scene shape, noise 0, 0.05 and 1.0, one batch and several, zero
