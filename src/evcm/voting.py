@@ -21,8 +21,12 @@ complement, clamp) is one call over both rows.
   every update in flight, each bank word is the in-order sum of its
   updates, so the banks' images are the naive ones; the model adds
   whole-array hazard analysis of each bank's address stream (issued
-  updates and forwarding hits per bank). It is driven directly, as a model
-  of the datapath, not as an estimator mode.
+  updates and forwarding hits per bank). Corner c of an event whose
+  stencil floor has parity q goes to bank c XOR q, so bank b holds corner
+  b XOR q; as an event sends one update per bank, masking the issued
+  flags in (role, bank, event) order lists each bank's stream in issue
+  order, with no sort. It is driven directly, as a model of the datapath,
+  not as an estimator mode.
 
 ``np.bincount`` adds each pixel's votes one at a time in stream order, so
 every pixel is the same sequential sum wherever it is voted, however a
@@ -209,29 +213,36 @@ def _hazards(s: IweScatter, d_vx: np.ndarray, d_vy: np.ndarray) -> np.ndarray:
     """(2, 12) issued updates and forwarding hits per bank key (role * 4 +
     parity bank) of one readout window's votes, scattered by ``s`` with
     derivative votes ``d_vx``, ``d_vy``; the window starts with the
-    pipelines drained."""
+    pipelines drained.
+
+    The streams follow the datapath's routing, with no sort. An event
+    whose clamped stencil floor (i, j) has parity q = (i & 1) + 2 * (j & 1)
+    sends its corner c = cx + 2 * cy, pixel (i + cx, j + cy), to bank
+    c XOR q: bank b holds corner b XOR q. So within a role each event
+    issues at most one update per bank, and masking the (role, bank, event)
+    issued flags in C order lists each bank's stream in issue order.
+    """
     w_dim, h_dim = s.shape
-    j, i = np.divmod(s._index.ravel(), w_dim + 2 * PAD)
-    i -= PAD
-    j -= PAD
-    issued = np.stack((s._weight.ravel(), d_vx.ravel(), d_vy.ravel())) != 0.0
-    issued &= (0 <= i) & (i < w_dim) & (0 <= j) & (j < h_dim)
-    # the (role, event, corner) order of the selection is each bank's
-    # issue order
-    key = 4 * np.arange(len(ROLES))[:, None] + (i & 1) + 2 * (j & 1)
-    word = (j >> 1) * (w_dim // 2) + (i >> 1)
-    tags = (key * (w_dim // 2) * (h_dim // 2) + word)[issued]
-    # int8 keys sort stably by radix; the sort lines up each bank's stream
-    # in issue order
-    keys = key[issued].astype(np.int8)
-    order = np.argsort(keys, kind="stable")
-    tags, keys = tags[order], keys[order]
-    # a tag holds bank and word, so it matches one of the previous
-    # PIPELINE_DEPTH tags only within its own bank's stream
+    inside = np.zeros((h_dim + 2 * PAD, w_dim + 2 * PAD), dtype=bool)
+    inside[PAD:-PAD, PAD:-PAD] = True
+    # PAD is even, so the padded floors have the floors' parity
+    j, i = np.divmod(s._index[:, 0], w_dim + 2 * PAD)
+    # (4, n): each bank's corner, as a flat index into the (n, 4) stencil
+    corner = np.arange(4)[:, None] ^ ((i & 1) | (j & 1) << 1)
+    corner += np.arange(0, s._index.size, 4)
+    word = np.take(s._index, corner)  # a padded index names a bank word
+    nonzero = np.stack((s._weight, d_vx, d_vy)).reshape(len(ROLES), -1) != 0.0
+    issued = np.take(nonzero, corner, axis=1)
+    issued &= np.take(inside, word)
+    # a tag is (role * 4 + bank) * pixels + word, so it matches one of the
+    # previous PIPELINE_DEPTH tags only within its own bank's stream
+    keys = inside.size * np.arange(4 * len(ROLES)).reshape(len(ROLES), 4, 1)
+    tags = (keys + word)[issued]
     hit = np.zeros(tags.size, dtype=bool)
     for d in range(1, PIPELINE_DEPTH + 1):
         hit[d:] |= tags[d:] == tags[:-d]
-    return np.stack([np.bincount(k, minlength=4 * len(ROLES)) for k in (keys, keys[hit])])
+    return np.stack((np.count_nonzero(issued, axis=2).ravel(),
+                     np.bincount(tags[hit] // inside.size, minlength=4 * len(ROLES))))
 
 
 class _Accumulator:
@@ -275,7 +286,10 @@ class BankedAccumulator(_Accumulator):
 
     Pixel (i, j) lives in bank ``(i & 1) + 2 * (j & 1)`` at word
     ``(j >> 1) * (w // 2) + (i >> 1)``, so one event's four stencil pixels sit
-    in four different banks and could be written in one hardware cycle.
+    in four different banks and could be written in one hardware cycle:
+    corner c = cx + 2 * cy of a stencil whose floor has parity q goes to bank
+    c XOR q, and bank b holds corner b XOR q. So each role's stream into a
+    bank is the window's events in order, each sending at most one update.
     Each bank is a read-modify-write pipeline with PIPELINE_DEPTH updates in
     flight and a forwarding buffer over exactly those updates, so every bank
     word ends up as the in-order sum of its updates: the images are the

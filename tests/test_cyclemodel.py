@@ -153,14 +153,19 @@ class TestBankedIssueRate:
                 assert max(acc.bank_occupancy(role)) <= len(warped)
 
     def test_paper_point_batch(self):
-        # 820 events on a 64x64 grid, read out spread (v = 0) and focused
+        # 820 events on a 64x64 grid, read out spread (v = 0), half-way and
+        # focused, each counter equal to the per-update oracle's
         batch = small_scene_batch(velocity=(3.0, -2.0), n=820)
-        spread = banked_readout(warp_batch(batch, Velocity(0.0, 0.0)), (64, 64))
-        focused = banked_readout(warp_batch(batch, Velocity(3.0, -2.0)), (64, 64))
-        for acc in (spread, focused):
+        for v in (Velocity(0.0, 0.0), Velocity(1.5, -1.0), Velocity(3.0, -2.0)):
+            warped = warp_batch(batch, v)
+            acc = banked_readout(warped, (64, 64))
+            oracle = BankedDatapathOracle((64, 64))
+            oracle.accumulate(warped)
             for role in ROLES:
                 assert max(acc.bank_occupancy(role)) <= len(batch)
-        assert sum(focused.forwarding_hits("iwe")) > 0
+                assert acc.bank_occupancy(role) == oracle.bank_occupancy(role)
+                assert acc.forwarding_hits(role) == oracle.forwarding_hits(role)
+        assert sum(acc.forwarding_hits("iwe")) > 0
 
     @pytest.mark.parametrize("period", [PIPELINE_DEPTH, PIPELINE_DEPTH + 1, 64])
     def test_hits_only_on_repeats_within_pipeline_depth(self, period):

@@ -167,6 +167,22 @@ class TestBankedEquivalence:
         acc.accumulate(w)
         assert acc.bank_occupancy("iwe") == (1, 1, 1, 1)
 
+    def test_empty_streams_count_nothing(self):
+        # fresh, after an empty readout, and over a window whose every event
+        # is off the grid or non-finite: no bank of any role is issued to
+        bad = [1e6, -1e6, 1e300, -1e300, np.nan, np.inf, -np.inf, -1.5, 8.0]
+        fresh, emptied, off = (BankedAccumulator((8, 8)) for _ in range(3))
+        emptied.read_and_clear()
+        off.accumulate(wbatch(bad, bad[::-1], [0.5] * len(bad)))
+        with np.errstate(invalid="ignore"):  # inf - floor(inf) is nan
+            window = [(off.bank_occupancy(r), off.forwarding_hits(r)) for r in ROLES]
+            assert not off.read_and_clear().iwe.any()
+        assert window == [((0, 0, 0, 0), (0, 0, 0, 0))] * len(ROLES)
+        for acc in (fresh, emptied, off):
+            for role in ROLES:
+                assert acc.bank_occupancy(role) == (0, 0, 0, 0)
+                assert acc.forwarding_hits(role) == (0, 0, 0, 0)
+
     def test_odd_grid_rejected(self):
         with pytest.raises(VotingConfigError):
             BankedAccumulator((7, 8))
