@@ -18,7 +18,6 @@ import re
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -108,28 +107,47 @@ class EventBatch:
 # the parse as they did when decoded.
 _FILE_TABLE = b"?" + bytes(range(1, 13)) + b" " + bytes(range(14, 128)) + b"?" * 128
 _COMMENT_LINE = re.compile(rb"^[ \t\x0b\x0c\x1c-\x1f]*#.*", re.MULTILINE)
+# The parse reads a file in blocks of whole lines of about this many bytes, so
+# its memory peak is the columns plus one block's temporaries.
+_BLOCK_BYTES = 1 << 20
 
 
-def _read_file(path) -> bytes:
-    """The whole file as one ASCII buffer whose only line break is ``\\n``;
-    a file that needs no translation is not copied (nor its memory peak
-    paid)."""
-    data = Path(path).read_bytes()
-    if data.isascii() and b"\0" not in data and b"\r" not in data:
-        return data
-    return data.translate(_FILE_TABLE)
+def _blocks(file):
+    """The rest of ``file`` in blocks of whole lines, each about
+    ``_BLOCK_BYTES`` long: a block ends after the last ``\\n`` of its reads,
+    or at the end of the file. A line longer than a block stays whole."""
+    head = []  # the reads since the last "\n"
+    while len(chunk := file.read(_BLOCK_BYTES)) == _BLOCK_BYTES:
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*head, chunk[:cut]])
+            head = []
+        head.append(chunk[cut:])
+    if tail := b"".join([*head, chunk]):
+        yield tail
 
 
-def _columns(
-    buf: bytes, seconds: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _clean(block: bytes) -> bytes:
+    """``block`` as ASCII whose only line break is ``\\n``, with its comment
+    lines emptied but kept, so lines still count; a block that needs neither
+    is not copied."""
+    if not block.isascii() or b"\0" in block or b"\r" in block:
+        block = block.translate(_FILE_TABLE)
+    if b"#" in block:
+        block = _COMMENT_LINE.sub(b"", block)
+    return block
+
+
+def _columns(buf: bytes, seconds: bool) -> tuple[np.ndarray, ...]:
     """Parse every non-blank line of ``buf`` as ``t x y p``.
 
     ``seconds`` reads every timestamp as seconds, else as integer
     microseconds; it is fixed for the whole file, so a line is valid or not
-    on its own, whatever range of lines it is parsed in. Raises ValueError
-    or OverflowError when any line has the wrong field count, a field that
-    is not a number or a value beyond int64.
+    on its own, whatever range of lines it is parsed in. Returns the fields
+    as views of one row array, ``x y p`` as int64 and ``t`` in microseconds:
+    int64, or for seconds float64 rounded half to even, as ``round()`` does.
+    Raises ValueError or OverflowError when any line has the wrong field
+    count, a field that is not a number or a value beyond int64.
     """
     t_type = np.float64 if seconds else np.int64
     row = [("t", t_type), ("x", np.int64), ("y", np.int64), ("p", np.int64)]
@@ -138,11 +156,11 @@ def _columns(
         rows = np.loadtxt(io.BytesIO(buf), dtype=row, comments=None, ndmin=1)
     ts = rows["t"]
     if seconds:
-        ts = ts * 1e6
+        ts *= 1e6
         if not np.all((ts >= -(2.0**63)) & (ts < 2.0**63)):
             raise OverflowError("timestamp beyond int64")
-        ts = np.rint(ts).astype(np.int64)  # round half to even, as round() does
-    return tuple(np.ascontiguousarray(c) for c in (ts, rows["x"], rows["y"], rows["p"]))
+        np.rint(ts, out=ts)
+    return ts, rows["x"], rows["y"], rows["p"]
 
 
 def _valid_columns(buf: bytes, seconds: bool, sensor_size: tuple[int, int]):
@@ -151,13 +169,20 @@ def _valid_columns(buf: bytes, seconds: bool, sensor_size: tuple[int, int]):
         ts, xs, ys, ps = _columns(buf, seconds)
     except (ValueError, OverflowError):
         return None
-    bad = (ts < 0) | (xs < 0) | (ys < 0) | ((ps != 0) & (ps != 1))
-    bad |= (xs >= sensor_size[0]) | (ys >= sensor_size[1])
+    # one unsigned compare per field: a negative value reads as >= 2^63
+    bad = ts < 0
+    bad |= xs.view(np.uint64) >= sensor_size[0]
+    bad |= ys.view(np.uint64) >= sensor_size[1]
+    bad |= ps.view(np.uint64) > 1
     return None if bad.any() else (ts, xs, ys, ps)
 
 
-def _first_error(buf: bytes, seconds: bool, sensor_size: tuple[int, int]) -> ValueError:
-    """Locate the first line that fails the whole-array checks and describe it.
+def _first_error(
+    buf: bytes, lines_before: int, seconds: bool, sensor_size: tuple[int, int]
+) -> ValueError:
+    """Locate the first line of ``buf`` that fails the whole-array checks and
+    describe it, numbered in a file that holds ``lines_before`` lines before
+    ``buf``.
 
     Bisects over line ranges with the same checks: the first bad line lies in
     lines [lo, hi), and every line before lo is good. The ranges halve, so
@@ -172,7 +197,8 @@ def _first_error(buf: bytes, seconds: bool, sensor_size: tuple[int, int]) -> Val
             hi = mid
         else:
             lo = mid
-    return _line_error(buf[bounds[lo] : bounds[hi]], lo + 1, seconds, sensor_size)
+    line = buf[bounds[lo] : bounds[hi]]
+    return _line_error(line, lines_before + lo + 1, seconds, sensor_size)
 
 
 def _line_error(line: bytes, line_no: int, seconds: bool, sensor_size) -> ValueError:
@@ -200,28 +226,61 @@ def _line_error(line: bytes, line_no: int, seconds: bool, sensor_size) -> ValueE
 def parse_events(path, sensor_size: tuple[int, int]) -> EventArray:
     """Parse an events file of ``t x y p`` lines against a ``(W, H)`` sensor.
 
-    The whole file is read into one buffer and parsed by numpy's C text
-    reader; every check runs on whole columns. Only ``\\n`` ends a line, and
-    ``\\r`` (as in CRLF files) is field whitespace. The timestamp unit belongs
-    to the file: if any non-comment line holds a ``.``, every timestamp is in
-    seconds (``0.5``, ``5.``, ``1e-05`` and ``1`` alike, rounded half to even
-    to integer microseconds); otherwise every timestamp is an integer of
-    microseconds. Polarity 0 maps to -1, 1 to +1. Lines whose first
-    non-blank character is ``#`` and blank lines are skipped but still
-    counted. A malformed line raises ``EventParseError`` and a field outside
-    the sensor or below zero ``EventValidationError``, each carrying the
-    1-based number of the first bad line. Events built in memory need no
-    parse: make an ``EventArray`` from their columns, as ``evcm.synth`` does.
+    The file is read in two passes over blocks of whole lines, about 1 MiB
+    each. The first counts the lines and fixes the timestamp unit; the second
+    parses each block with numpy's C text reader, runs every check on its
+    whole columns and writes its fields into columns allocated once for the
+    line count. So the memory peak is the columns plus one block's
+    temporaries, however long the file. A file of one block is read once,
+    and so is a pipe, whose blocks are all kept for the second pass.
+    Only ``\\n`` ends a line, and ``\\r`` (as in CRLF files) is field
+    whitespace. The timestamp unit belongs to the file: if any non-comment
+    line holds a ``.``, every timestamp is in seconds (``0.5``, ``5.``,
+    ``1e-05`` and ``1`` alike, rounded half to even to integer
+    microseconds); otherwise every timestamp is an integer of microseconds.
+    Polarity 0 maps to -1, 1 to +1. Lines whose first non-blank character is
+    ``#`` and blank lines are skipped but still counted. A malformed line
+    raises ``EventParseError`` and a field outside the sensor or below zero
+    ``EventValidationError``, each carrying the 1-based number of the first
+    bad line in the file. Events built in memory need no parse: make an
+    ``EventArray`` from their columns, as ``evcm.synth`` does.
     """
-    buf = _read_file(path)
-    if b"#" in buf:
-        buf = _COMMENT_LINE.sub(b"", buf)  # keeps the "\n", so lines still count
-    seconds = b"." in buf  # one unit for the whole file
-    cols = _valid_columns(buf, seconds, sensor_size)
-    if cols is None:
-        raise _first_error(buf, seconds, sensor_size)
-    ts, xs, ys, ps = cols
-    return EventArray(ts, xs, ys, (2 * ps - 1).astype(np.int8))
+    with open(path, "rb") as file:
+        # pass 1: the "\n"s of each block, and the file's timestamp unit;
+        # the blocks are kept for pass 2 while there is one, or all of them
+        # if the file (a pipe) cannot be read again
+        counts, seconds, kept = [], False, []
+        for block in _blocks(file):
+            counts.append(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")))
+            if not seconds and b"." in block:
+                block = _clean(block)
+                seconds = b"." in block  # one unit for the whole file
+            if len(counts) == 1 or not file.seekable():
+                kept.append(block)
+            else:
+                kept.clear()
+        # pass 2: each block parsed, checked and written into its slice of
+        # columns with a row for each line, the last of which may lack "\n"
+        if len(kept) < len(counts):
+            file.seek(0)
+            kept = _blocks(file)
+        rows = sum(counts) + 1
+        cols = [np.empty(rows, dtype) for dtype in (np.int64,) * 3 + (np.int8,)]
+        n = lines_before = 0
+        for block, count in zip(kept, counts):
+            block = _clean(block)
+            fields = _valid_columns(block, seconds, sensor_size)
+            if fields is None:
+                raise _first_error(block, lines_before, seconds, sensor_size)
+            k = len(fields[0])
+            for col, field in zip(cols, fields):
+                col[n : n + k] = field
+            n += k
+            lines_before += count
+    ts, xs, ys, ps = (col[:n] for col in cols)
+    ps *= 2  # polarity 0/1 to -1/+1, in place
+    ps -= 1
+    return EventArray(ts, xs, ys, ps)
 
 
 def make_batch(events: EventArray) -> EventBatch:

@@ -1,10 +1,13 @@
 """Event parsing, batch construction and ROI filtering."""
 
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from evcm import events
 from evcm.events import (
     EventParseError,
     EventValidationError,
@@ -13,12 +16,24 @@ from evcm.events import (
     make_batch,
     parse_events,
 )
+from evcm.synth import SyntheticScene
 
 from conftest import batch_from_arrays, parse_lines
 
 
 def columns(events):
     return tuple(c.tolist() for c in (events.ts, events.xs, events.ys, events.ps))
+
+
+def parse_piped(data: bytes):
+    """``parse_events`` on a pipe holding ``data``, which its buffer must fit."""
+    read, write = os.pipe()
+    with os.fdopen(write, "wb") as fh:
+        fh.write(data)
+    try:
+        return parse_events(f"/dev/fd/{read}", (240, 180))
+    finally:
+        os.close(read)
 
 
 class TestParseEvents:
@@ -141,6 +156,44 @@ class TestParseEvents:
         p.write_text("10 1 2 1\n20 3 4 0\n", encoding="ascii")
         evs = parse_events(p, (240, 180))
         assert evs.ps.tolist() == [1, -1]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
+    def test_pipe_of_many_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(events, "_BLOCK_BYTES", 64)  # a pipe buffer holds the file
+        lines = [f"{10 * t} {t % 240} {t % 180} {t % 2}" for t in range(60)]
+        path = tmp_path / "events.txt"
+        path.write_text("\n".join(lines), encoding="ascii")
+        assert columns(parse_piped(path.read_bytes())) == columns(parse_events(path, (240, 180)))
+        lines[50] = "500 1 2 3"
+        with pytest.raises(EventParseError, match="line 51"):
+            parse_piped("\n".join(lines).encode())
+
+    def test_memory_beyond_the_columns_does_not_grow_with_the_file(
+        self, tmp_path, monkeypatch
+    ):
+        # files of about 4 and 16 blocks of 18-byte lines; blocks of 64 KiB
+        # keep the files small, as tracemalloc slows the parse down 30-fold
+        monkeypatch.setattr(events, "_BLOCK_BYTES", 1 << 16)
+        transient = []
+        for blocks in (4, 16):
+            n = blocks * events._BLOCK_BYTES // 18
+            i = np.arange(n)
+            scene = SyntheticScene(
+                10**6 + 9 * i, 100 + i % 140, 100 + i % 80, np.where(i % 3, 1, -1).astype(np.int8),
+                noise_mask=np.zeros(n, dtype=bool), truth={},
+            )
+            path = tmp_path / f"{blocks}.txt"
+            scene.write_events(path)
+            assert path.stat().st_size == 18 * n
+            tracemalloc.start()
+            try:
+                evs = parse_events(path, (240, 180))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert columns(evs) == columns(scene)
+            transient.append(peak - sum(c.nbytes for c in (evs.ts, evs.xs, evs.ys, evs.ps)))
+        assert transient[1] - transient[0] < events._BLOCK_BYTES, transient
 
 
 class TestEventArray:

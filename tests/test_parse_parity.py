@@ -10,11 +10,13 @@ accepts, are rejected by the columnar parser.
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evcm import events
 from evcm.events import EventParseError, EventValidationError, parse_events
 
 from conftest import WIDE_SENSOR
@@ -144,6 +146,55 @@ def test_columnar_parser_matches_scalar_oracle(lines, eols, sensor_size):
     data = "".join(ln + eol for ln, eol in zip(lines, eols)).encode("latin-1")
     got, expected = outcomes(data, sensor_size)
     assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=source_lines(),
+    eols=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=25, max_size=25),
+    final_eol=st.booleans(),
+    block=st.integers(1, 48),
+    sensor_size=st.sampled_from([WIDE_SENSOR, SENSOR]),
+)
+def test_block_parser_matches_scalar_oracle(lines, eols, final_eol, block, sensor_size):
+    """The files above, with or without a last line break, read in blocks of
+    a few dozen bytes: nearly every file spans many blocks, and some of its
+    lines are longer than a block."""
+    ends = eols[: len(lines)]
+    if lines and not final_eol:
+        ends[-1] = ""
+    data = "".join(ln + end for ln, end in zip(lines, ends)).encode("latin-1")
+    with mock.patch.object(events, "_BLOCK_BYTES", block):
+        got, expected = outcomes(data, sensor_size)
+    assert got == expected
+
+
+def _lines(n, unit=lambda i: str(10 * i)):
+    return "".join(f"{unit(i)} {i % 240} {i % 180} {i % 2}\n" for i in range(n)).encode()
+
+
+BLOCK_CASES = {
+    "an unterminated last line after a comment": b"#\n0 0 0 0\n7\r",
+    "comments and CRLF": b"# t x y p\r\n10 1 2 1\r\n  # 0.5 s\r\n\r\n20 3 4 0\r\n" * 3,
+    "a lone CR": b"10 1 2 1\r20 3 4 0\n30 5 6 1\n" + _lines(8),
+    "NUL": _lines(8) + b"90 1\x002 1\n" + _lines(4),
+    "non-ASCII": _lines(8) + b"\xff90 1 2 1\n" + _lines(4),
+    "a line longer than a block": _lines(3) + b" " * 60 + b"40 1  2 1" + b"\t" * 60 + b"\n" + _lines(3),
+    "a bad line in the last block": _lines(30) + b"300 240 2 1\n",
+    "a bad line after a long one": b"1 2 3 1" + b" " * 70 + b"\n" + _lines(6) + b"70 1 2 3\n",
+    "no last line break": _lines(30) + b"300 5 6 1",
+    "no last line break, bad": _lines(30) + b"300 5 6",
+    "seconds by the last block alone": _lines(30, str) + b"30.5 3 4 0\n",
+    "a '.' only in a comment of the last block": _lines(30) + b"# 0.5 s\n",
+}
+
+
+def test_every_block_size_matches_scalar_oracle():
+    for name, data in BLOCK_CASES.items():
+        expected = outcomes(data, SENSOR)[1]
+        for block in range(1, 49):
+            with mock.patch.object(events, "_BLOCK_BYTES", block):
+                assert outcomes(data, SENSOR)[0] == expected, (name, block)
 
 
 TOKENS = [
