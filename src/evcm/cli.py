@@ -143,9 +143,9 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    cfg, events, out_dir = _start_run(args)
     if args.batch_index < 0:
         raise ValueError(f"batch index {args.batch_index} must be non-negative")
+    cfg, events, out_dir = _start_run(args)
     start = args.batch_index * cfg.batch_size
     chunk = events[start : start + cfg.batch_size]
     if len(chunk) == 0:

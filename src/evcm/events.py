@@ -277,7 +277,9 @@ def parse_events(path, sensor_size: tuple[int, int]) -> EventArray:
                 col[n : n + k] = field
             n += k
             lines_before += count
-    ts, xs, ys, ps = (col[:n] for col in cols)
+    for col in cols:  # free the skipped lines' rows, in place with no copy
+        col.resize(n, refcheck=False)
+    ts, xs, ys, ps = cols
     ps *= 2  # polarity 0/1 to -1/+1, in place
     ps -= 1
     return EventArray(ts, xs, ys, ps)

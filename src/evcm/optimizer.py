@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .events import EventBatch
-from .objective import contrast, evaluate
+from .objective import evaluate
 from .voting import IweScatter
 from .warp import Velocity, warp_batch
 
@@ -52,23 +52,19 @@ class IterationRecord:
 
 @dataclass
 class OptimizationTrace:
-    """One record per ascent step, the IWE read out at the velocity the
-    ascent returns (after the last step, or at the fixed point it stopped
-    reading out at), and the number of IWE scatters run: one per distinct
-    velocity read out, plus a closing one at a returned velocity whose IWE
-    the grid no longer holds (at most ``len(records) + 1``)."""
+    """One record per ascent step, the IWE and contrast read out at the
+    velocity the ascent returns (after the last step, or at the fixed point
+    it stopped reading out at), and the number of readouts run: one per
+    distinct velocity read out, plus a closing one at a returned velocity
+    whose IWE the grid no longer holds (at most ``len(records) + 1``)."""
 
     records: list[IterationRecord]
     final_iwe: np.ndarray
+    final_contrast: float
     readouts: int
 
     def __len__(self) -> int:
         return len(self.records)
-
-    @property
-    def final_contrast(self) -> float:
-        """Contrast at the returned velocity."""
-        return contrast(self.final_iwe)[0]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -82,12 +78,12 @@ class OptimizationTrace:
 
 
 def _read_out(grid: IweScatter, batch: EventBatch, v: Velocity, it: int,
-              warped: np.ndarray) -> tuple[float, float]:
-    """Scatter the IWE of ``batch`` warped at ``v`` into ``grid``, the warp
-    written into the (2, n) buffer ``warped``, and return the key
-    ``(v.vx, v.vy)`` of the velocity it holds. Raise ``OptimizationError``
-    at step ``it`` when ``v`` has run away: no vote mass is left on the
-    grid, or |v| exceeds the grid's sides."""
+              warped: np.ndarray) -> tuple[float, float, float]:
+    """Read out ``batch`` at ``v``: scatter its IWE into ``grid``, the warp
+    written into the (2, n) buffer ``warped``, and return the row
+    ``(c, g_vx, g_vy)`` of ``evaluate``. Raise ``OptimizationError`` at
+    step ``it`` when ``v`` has run away (no vote mass is left on the grid,
+    or |v| exceeds the grid's sides) or the gradient is not finite."""
     grid.scatter(warp_batch(batch, v, out=warped))
     w, h = grid.shape
     if not grid.in_bounds_mass > 0.0:
@@ -102,7 +98,10 @@ def _read_out(grid: IweScatter, batch: EventBatch, v: Velocity, it: int,
             f"v = ({v.vx:.6g}, {v.vy:.6g}) px per half-span: the ascent "
             f"diverged or started off the grid"
         )
-    return (v.vx, v.vy)
+    row = evaluate(grid)
+    if not (math.isfinite(row[1]) and math.isfinite(row[2])):
+        raise OptimizationError(f"non-finite gradient at iteration {it}")
+    return row
 
 
 def estimate_motion(
@@ -128,17 +127,17 @@ def estimate_motion(
     so ``cfg.iterations`` is a cap and the trace keeps ``cfg.iterations``
     records.
 
-    Table: a readout (warp, scatter, the run-away checks of ``_read_out``,
+    Table: a readout (``_read_out``: warp, scatter, the run-away checks,
     then contrast and gradient) depends only on the batch, the grid and v,
     and the steps move on a dyadic lattice, so an ascent often steps back
     onto a velocity it has read out. A per-call table keyed by
-    ``(v.vx, v.vy)`` holds each readout's contrast and gradient, and such a
-    step reuses its row with no readout.
+    ``(v.vx, v.vy)`` holds each readout's row ``(c, g_vx, g_vy)``, and such
+    a step reuses its row with no readout.
 
-    Closing readout: when the grid does not hold the IWE of the returned
-    velocity (the last step moved, or the ascent ended on a table hit), one
-    more readout at it gives ``final_iwe`` and ``final_contrast``, with the
-    same checks. ``trace.readouts`` is one per distinct velocity read out,
+    Closing readout: ``final_contrast`` is the row of the returned velocity.
+    When the grid does not hold its IWE (the last step moved, or the ascent
+    ended on a table hit), one more full readout at it gives ``final_iwe``
+    and that row. ``trace.readouts`` is one per distinct velocity read out,
     plus the closing one. Every output is bit for bit the one a readout at
     every step and at the returned velocity gives.
     """
@@ -160,10 +159,8 @@ def estimate_motion(
         key = (v.vx, v.vy)
         row = rows.get(key)
         if row is None:
-            held = _read_out(grid, batch, v, it, warped)
-            row = rows[key] = evaluate(grid)
-            if not (math.isfinite(row[1]) and math.isfinite(row[2])):
-                raise OptimizationError(f"non-finite gradient at iteration {it}")
+            row = rows[key] = _read_out(grid, batch, v, it, warped)
+            held = key
         c, g_vx, g_vy = row
         records.append(IterationRecord(v, c, g_vx, g_vy))
         pos = [v.vx, v.vy]
@@ -182,6 +179,5 @@ def estimate_motion(
             records += [IterationRecord(v, c, g_vx, g_vy)] * (cfg.iterations - it - 1)
             break
     closing = held != (v.vx, v.vy)
-    if closing:
-        _read_out(grid, batch, v, cfg.iterations, warped)
-    return v, OptimizationTrace(records, grid.iwe, len(rows) + closing)
+    row = _read_out(grid, batch, v, cfg.iterations, warped) if closing else rows[held]
+    return v, OptimizationTrace(records, grid.iwe, row[0], len(rows) + closing)

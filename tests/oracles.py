@@ -11,7 +11,7 @@ from typing import Iterator
 import numpy as np
 
 from evcm.events import EventParseError, EventValidationError
-from evcm.objective import evaluate
+from evcm.objective import contrast, evaluate
 from evcm.optimizer import (
     FIRST_STEP, LEAST_STEP, IterationRecord, OptimizationError, OptimizationTrace,
 )
@@ -161,9 +161,10 @@ def gather_scalar(warped, image, shape) -> tuple[float, float]:
 def every_iteration_ascent(batch, cfg, shape):
     """``estimate_motion`` with no fixed-point exit: it reads the IWE out at
     every one of the ``cfg.iterations`` steps and once more at the velocity
-    it returns, the last readout giving ``final_iwe``. Once both steps are
-    below ``LEAST_STEP`` after a step's moves, both stay 0 and every later
-    readout is at the same velocity."""
+    it returns, the last readout giving ``final_iwe`` and, through the
+    bare-grid ``contrast``, ``final_contrast``. Once both steps are below
+    ``LEAST_STEP`` after a step's moves, both stay 0 and every later readout
+    is at the same velocity."""
     grid = IweScatter(len(batch), shape)
     w, h = shape
     v = cfg.v_init
@@ -200,7 +201,7 @@ def every_iteration_ascent(batch, cfg, shape):
         if steps[0] < LEAST_STEP and steps[1] < LEAST_STEP:
             steps = [0.0, 0.0]
         v = Velocity(*pos)
-    return v, OptimizationTrace(records, grid.iwe, cfg.iterations + 1)
+    return v, OptimizationTrace(records, grid.iwe, contrast(grid.iwe)[0], cfg.iterations + 1)
 
 
 def generate_scene_per_batch(cfg: SceneConfig) -> SyntheticScene:

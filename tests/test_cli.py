@@ -445,15 +445,17 @@ class TestEstimateCommand:
         assert "out of range" in capsys.readouterr().err
 
     def test_negative_batch_index_rejected(self, tmp_path, capsys):
+        # the input's line 2 lies outside the sensor, but the flag is checked
+        # before the file is read or the output directory is made
         events = tmp_path / "events.txt"
-        events.write_text("0 1 1 1\n10 2 2 0\n20 3 3 1\n30 4 4 0\n", encoding="ascii")
+        events.write_text("0 1 1 1\n10 999 2 0\n20 3 3 1\n30 4 4 0\n", encoding="ascii")
         rc = main(
             ["estimate", "--input", str(events), "--batch-size", "2",
              "--batch-index", "-2", "--output-dir", str(tmp_path / "est")]
         )
         assert rc == 1
-        assert "batch index -2" in capsys.readouterr().err
-        assert not (tmp_path / "est" / "trace.csv").exists()
+        assert capsys.readouterr().err == "error: batch index -2 must be non-negative\n"
+        assert not (tmp_path / "est").exists()
 
 
 class TestCyclesCommand:

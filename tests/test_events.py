@@ -157,6 +157,17 @@ class TestParseEvents:
         evs = parse_events(p, (240, 180))
         assert evs.ps.tolist() == [1, -1]
 
+    def test_columns_hold_the_events_alone(self, tmp_path):
+        # the rows of skipped lines are not kept alive behind the columns
+        p = tmp_path / "events.txt"
+        p.write_text("# c\n" * 100_000 + "".join(f"{t} 1 2 1\n" for t in range(10)),
+                     encoding="ascii")
+        evs = parse_events(p, (240, 180))
+        for col in (evs.ts, evs.xs, evs.ys, evs.ps):
+            assert len(col) == 10
+            held = col if col.base is None else col.base
+            assert held.nbytes <= 10 * col.itemsize
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
     def test_pipe_of_many_blocks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(events, "_BLOCK_BYTES", 64)  # a pipe buffer holds the file

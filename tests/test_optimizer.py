@@ -214,6 +214,27 @@ class TestFinalImageSet:
         assert trace.final_contrast == contrast(ref.iwe)[0]
         assert v != trace.records[-1].v
 
+    @pytest.mark.parametrize("iterations", [100, 5], ids=["fixed-point", "capped"])
+    def test_final_contrast_is_the_readout_row(self, iterations, monkeypatch):
+        # the reported contrast comes from the readout that gives the
+        # gradient, at a fixed-point exit (the held row) and at a cap (the
+        # closing readout) alike: an objective that doubles C shows in it
+        def doubled(grid):
+            c, g_vx, g_vy = evaluate(grid)
+            return 2.0 * c, g_vx, g_vy
+
+        monkeypatch.setattr("evcm.optimizer.evaluate", doubled)
+        batch = small_scene_batch()
+        v, trace = estimate_motion(batch, OptimizerConfig(iterations=iterations),
+                                   shape=(64, 64))
+        if iterations == 100:
+            assert v == trace.records[-1].v  # stopped at its fixed point
+            assert trace.final_contrast == trace.records[-1].contrast
+        else:
+            assert trace.readouts == iterations + 1  # closed with a readout
+        c, _, _ = evaluate(scatter_iwe(warp_batch(batch, v), (64, 64)))
+        assert trace.final_contrast == 2.0 * c
+
 
 def still_point_batch(n):
     """n events of one point at rest at the 64x64 grid's centre, evenly
@@ -342,6 +363,7 @@ def test_fixed_point_exit_matches_every_iteration_ascent(case, readouts):
     assert trace.to_csv() == ref.to_csv()
     assert repr(v) == repr(v_ref)
     assert trace.final_iwe.tobytes() == ref.final_iwe.tobytes()
+    assert trace.final_contrast == ref.final_contrast
     assert trace.readouts == reads
     if case == "T5":
         # each of its steps starts at a new velocity, and the cap returns
@@ -383,6 +405,7 @@ def test_revisited_velocity_reuses_its_readout(case, readouts):
     assert trace.to_csv() == ref.to_csv()
     assert repr(v) == repr(v_ref)
     assert trace.final_iwe.tobytes() == ref.final_iwe.tobytes()
+    assert trace.final_contrast == ref.final_contrast
     assert trace.readouts == reads
     # the steps run: up to a fixed point, whose repeated rows read nothing out
     path = [r.v for r in trace.records]
