@@ -11,6 +11,7 @@ import pytest
 from hypothesis import settings
 
 from evcm.events import EventArray, EventBatch, make_batch, parse_events
+from evcm.objective import evaluate
 from evcm.voting import ImageSet, IweScatter, NaiveAccumulator
 from evcm.warp import WarpedBatch
 
@@ -88,6 +89,18 @@ def scatter_iwe(warped: WarpedBatch, shape) -> IweScatter:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def unit_vx_gradient(monkeypatch):
+    """``evaluate``, in the package's ascent and in ``every_iteration_ascent``
+    alike, returns the true contrast with the gradient (1, 0): whatever the
+    batch, every step moves vx by +1 and vy not at all."""
+    def unit_vx(grid):
+        return evaluate(grid)[0], 1.0, 0.0
+
+    monkeypatch.setattr("evcm.optimizer.evaluate", unit_vx)
+    monkeypatch.setattr("oracles.evaluate", unit_vx)
 
 
 @pytest.fixture

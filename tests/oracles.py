@@ -1,4 +1,10 @@
-"""Scalar reference twins of the columnar code, kept as test oracles."""
+"""Test oracles: scalar reference twins of the columnar code, and the
+columnar reference ascent with the one source of the coordinates it warps.
+
+``ascent_xy`` is the one place a test-side ascent takes its coordinates:
+``ascent_warp`` warps them and ``ascent_readout`` scatters that warp, and
+every test that re-reads a batch ``estimate_motion`` or ``track`` ran on
+goes through them, ``every_iteration_ascent`` included."""
 
 from __future__ import annotations
 
@@ -17,7 +23,7 @@ from evcm.optimizer import (
 )
 from evcm.synth import SceneConfig, SyntheticScene, _sample_offsets
 from evcm.voting import PIPELINE_DEPTH, ROLES, ImageSet, IweScatter
-from evcm.warp import Velocity, warp_batch
+from evcm.warp import Velocity, WarpedBatch
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
@@ -158,13 +164,39 @@ def gather_scalar(warped, image, shape) -> tuple[float, float]:
             math.fsum(g * dwy for g, _, dwy in terms))
 
 
+def ascent_xy(batch) -> np.ndarray:
+    """The (2, n) float64 block of x and y rows that an ascent on ``batch``
+    warps from: the batch's integer coordinates."""
+    return batch.xy
+
+
+def ascent_warp(batch, v: Velocity) -> WarpedBatch:
+    """``batch`` warped at ``v`` as an ascent warps it, row by row from
+    ``ascent_xy``: x' = x - dt*vx, y' = y - dt*vy."""
+    x, y = ascent_xy(batch)
+    dts = batch.norm_dts
+    return WarpedBatch(np.stack((x - dts * v.vx, y - dts * v.vy)), dts)
+
+
+def ascent_readout(batch, v: Velocity, shape, grid: IweScatter | None = None) -> IweScatter:
+    """The one-image readout of ``batch`` at ``v`` on the (w, h) grid
+    ``shape``: its ``ascent_warp`` scattered into ``grid`` (a fresh
+    ``IweScatter`` when none is given), which it returns, its ``iwe`` set
+    and ready for ``evaluate``."""
+    if grid is None:
+        grid = IweScatter(len(batch), shape)
+    grid.scatter(ascent_warp(batch, v))
+    return grid
+
+
 def every_iteration_ascent(batch, cfg, shape):
-    """``estimate_motion`` with no fixed-point exit: it reads the IWE out at
-    every one of the ``cfg.iterations`` steps and once more at the velocity
-    it returns, the last readout giving ``final_iwe`` and, through the
-    bare-grid ``contrast``, ``final_contrast``. Once both steps are below
-    ``LEAST_STEP`` after a step's moves, both stay 0 and every later readout
-    is at the same velocity."""
+    """``estimate_motion`` with no fixed-point exit: it reads the IWE out
+    (an ``ascent_readout``) at every one of the ``cfg.iterations`` steps and
+    once more at the velocity it returns, the last readout giving
+    ``final_iwe`` and, through the bare-grid ``contrast``,
+    ``final_contrast``. Once both steps are below ``LEAST_STEP`` after a
+    step's moves, both stay 0 and every later readout is at the same
+    velocity."""
     grid = IweScatter(len(batch), shape)
     w, h = shape
     v = cfg.v_init
@@ -172,7 +204,7 @@ def every_iteration_ascent(batch, cfg, shape):
     signs = [0, 0]
     records = []
     for it in range(cfg.iterations + 1):
-        grid.scatter(warp_batch(batch, v))
+        ascent_readout(batch, v, shape, grid)
         if not grid.in_bounds_mass > 0.0:
             raise OptimizationError(
                 f"no vote mass inside the grid at iteration {it}, "

@@ -19,11 +19,11 @@ from evcm.objective import contrast, evaluate
 from evcm.optimizer import OptimizerConfig, estimate_motion
 from evcm.synth import SceneConfig, generate_scene
 from evcm.tracker import TrackerConfig, track
-from evcm.voting import BankedAccumulator
+from evcm.voting import BankedAccumulator, IweScatter
 from evcm.warp import Velocity, WarpedBatch, warp_batch
 
 from conftest import accumulate_images, batch_from_arrays, random_interior_batch, scatter_iwe
-from oracles import BankedDatapathOracle, contrast_gradient_scalar
+from oracles import BankedDatapathOracle, ascent_readout, contrast_gradient_scalar
 from test_objective import fd_gradient, probe_is_smooth
 
 # ---------------------------------------------------------------------------
@@ -65,22 +65,26 @@ def scene_batch(scene, velocity, noise, seed):
     return make_batch(generate_scene(cfg))
 
 
-def contrast_at(batch, vx, vy, shape=(64, 64)):
-    imgs = accumulate_images(warp_batch(batch, Velocity(vx, vy)), shape)
-    return contrast(imgs.iwe)[0]
+def contrast_at(batch, vx, vy, grid=None):
+    """The contrast of ``batch``'s IWE at (vx, vy) on the 64x64 grid, read
+    out as the ascent reads it, into ``grid`` when one is kept across
+    calls."""
+    return contrast(ascent_readout(batch, Velocity(vx, vy), (64, 64), grid).iwe)[0]
 
 
 def grid_search(batch, span=6.0, coarse=0.5, fine=0.1):
     """Independent exhaustive search of contrast(v): coarse pass, then a
-    fine pass around the coarse peak."""
+    fine pass around the coarse peak, every point read out on one kept
+    ``IweScatter``."""
+    grid = IweScatter(len(batch), (64, 64))
     axis = np.arange(-span, span + coarse / 2, coarse)
     best = max(
-        ((contrast_at(batch, vx, vy), vx, vy) for vx in axis for vy in axis)
+        ((contrast_at(batch, vx, vy, grid), vx, vy) for vx in axis for vy in axis)
     )
     _, cx, cy = best
     fx = np.arange(cx - coarse, cx + coarse + fine / 2, fine)
     fy = np.arange(cy - coarse, cy + coarse + fine / 2, fine)
-    best = max(((contrast_at(batch, vx, vy), vx, vy) for vx in fx for vy in fy))
+    best = max(((contrast_at(batch, vx, vy, grid), vx, vy) for vx in fx for vy in fy))
     return best[1], best[2]
 
 

@@ -7,7 +7,12 @@ import pytest
 
 from evcm import cli
 from evcm.cli import main
+from evcm.events import Roi, filter_roi, make_batch, parse_events
+from evcm.optimizer import OptimizerConfig
 from evcm.synth import SceneConfig
+from evcm.warp import Velocity
+
+from oracles import every_iteration_ascent
 
 
 @pytest.fixture
@@ -342,10 +347,11 @@ class TestEstimateCommand:
 
     def test_rows_after_a_fixed_point_repeat_without_a_readout(
             self, fixture_events, tmp_path, readouts, capsys):
-        # from this warm start both steps are below LEAST_STEP after row 15's
-        # step, so the velocity stops moving at row 16; the later rows repeat
-        # that row, and the readout at row 16 is the last; row 7 steps back
-        # onto row 4's velocity and reuses its readout
+        # from this warm start the velocity stops moving before the cap, and
+        # the later rows repeat that row: its readout is the last, and a step
+        # back onto a velocity read out before reuses its row, so the
+        # readouts are the distinct velocities up to the fixed point. The
+        # rows are those of the oracle ascent on the batch estimate reads
         out = tmp_path / "est3"
         rc = main(
             ["estimate", "--input", str(fixture_events), "--batch-size", "2000",
@@ -354,27 +360,32 @@ class TestEstimateCommand:
              "--output-dir", str(out)]
         )
         assert rc == 0
-        rows = (out / "trace.csv").read_text(encoding="ascii").splitlines()[1:]
-        assert len(rows) == 100
-        held = [row.split(",", 1)[1] for row in rows]
-        assert held[15] != held[16]
-        assert len(set(held[16:])) == 1
-        assert held[4] == held[7]
-        assert readouts() == 16
-        assert capsys.readouterr().out.startswith("iterations: 100  readouts: 16  v = (")
+        reads = readouts()
+        batch = filter_roi(make_batch(parse_events(fixture_events, (240, 180))[:2000]),
+                           Roi(18, 68, 64, 64))
+        cfg = OptimizerConfig(v_init=Velocity(-2.0, 1.0))
+        _, ref = every_iteration_ascent(batch, cfg, shape=(64, 64))
+        assert (out / "trace.csv").read_text(encoding="ascii") == ref.to_csv()
+        path = [r.v for r in ref.records]
+        fixed = next(k for k in range(len(path) - 1) if path[k] == path[k + 1])
+        assert reads == len(set(path[:fixed + 1]))
+        assert capsys.readouterr().out.startswith(
+            f"iterations: 100  readouts: {reads}  v = (")
 
     @pytest.mark.parametrize("command,output", [("estimate", "trace.csv"),
                                                 ("track", "trajectory.csv")])
-    def test_runaway_last_step_fails(self, tmp_path, command, output, capsys):
+    def test_runaway_last_step_fails(self, tmp_path, command, output, unit_vx_gradient,
+                                     capsys):
         # two events at the 64x64 ROI's side edges, at the batch's two ends:
-        # the one unit step carries both off the grid, and the closing
-        # readout finds no vote mass; the velocity is not reported
+        # from vx = 1/2 the one unit step, pinned to +vx, carries both off
+        # the grid, and the closing readout finds no vote mass; the
+        # velocity is not reported
         events = tmp_path / "edges.txt"
         events.write_text("0 63 32 1\n1 0 32 1\n", encoding="ascii")
         out = tmp_path / "run"
         rc = main(
             [command, "--input", str(events), "--min-roi-events", "1",
-             "--iterations", "1", "--output-dir", str(out)]
+             "--vx-init", "0.5", "--iterations", "1", "--output-dir", str(out)]
         )
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: no vote mass")

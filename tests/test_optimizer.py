@@ -16,7 +16,9 @@ from evcm.voting import BankedAccumulator, IweScatter
 from evcm.warp import Velocity, warp_batch
 
 from conftest import accumulate_images, event_array, random_interior_batch, scatter_iwe
-from oracles import contrast_gradient_scalar, every_iteration_ascent
+from oracles import (
+    ascent_readout, ascent_warp, contrast_gradient_scalar, every_iteration_ascent,
+)
 
 
 def small_scene_batch(velocity=(2.0, -1.5), seed=3, n=800, noise=0.0,
@@ -37,12 +39,19 @@ def small_scene_batch(velocity=(2.0, -1.5), seed=3, n=800, noise=0.0,
     return make_batch(generate_scene(cfg))
 
 
-def edge_pair_batch(t_last_us=1):
+def edge_pair_batch():
     """Two events at the 64x64 grid's side edges, at the batch's two ends:
-    (t = 0, x = 63) and (t = t_last_us, x = 0), both on row 32. A unit step
-    of vx moves each by one pixel outward, and both stencils then land in
-    the padding ring."""
-    return make_batch(event_array([0, t_last_us], [63, 0], [32, 32]))
+    (t = 0, x = 63) and (t = 1 us, x = 0), both on row 32, at dt = -1 and +1.
+    Warped at ``HALF_PIXEL`` they sit at x' = 63.5 and -0.5, each with one
+    stencil corner on the grid; after a unit step of vx they sit at 64.5
+    and -1.5, both stencils in the padding ring. An offset of each event
+    anywhere in [-1/2, 1/2)^2 inside its pixel keeps both facts."""
+    return make_batch(event_array([0, 1], [63, 0], [32, 32]))
+
+
+# The edge pair's warm start: half a pixel, so that one unit step is enough
+# to leave the grid from anywhere inside the pixels.
+HALF_PIXEL = Velocity(0.5, 0.0)
 
 
 class TestConfigValidation:
@@ -61,20 +70,23 @@ class TestEstimateMotion:
         with pytest.raises(ValueError):
             estimate_motion(empty, OptimizerConfig(), shape=(64, 64))
 
-    def test_zero_in_bounds_mass_raises(self):
+    def test_zero_in_bounds_mass_raises(self, unit_vx_gradient):
         # the first unit step carries both edge events off the 64x64 grid,
-        # and the readout that opens iteration 1 finds no vote mass
-        with pytest.raises(OptimizationError, match=r"iteration 1, v = \(1, 0\)"):
+        # and the readout that opens iteration 1 finds no vote mass; the
+        # gradient is pinned to +vx, as the true one may pull the edge mass
+        # back in
+        with pytest.raises(OptimizationError, match=r"iteration 1, v = \(1.5, 0\)"):
             estimate_motion(
-                edge_pair_batch(t_last_us=5), OptimizerConfig(iterations=5),
+                edge_pair_batch(), OptimizerConfig(iterations=5, v_init=HALF_PIXEL),
                 shape=(64, 64),
             )
 
-    def test_runaway_last_step_raises(self):
+    def test_runaway_last_step_raises(self, unit_vx_gradient):
         # the closing readout at the returned velocity finds no vote mass
-        with pytest.raises(OptimizationError, match=r"iteration 1, v = \(1, 0\)"):
+        with pytest.raises(OptimizationError, match=r"iteration 1, v = \(1.5, 0\)"):
             estimate_motion(
-                edge_pair_batch(), OptimizerConfig(iterations=1), shape=(64, 64)
+                edge_pair_batch(), OptimizerConfig(iterations=1, v_init=HALF_PIXEL),
+                shape=(64, 64),
             )
 
     def test_warm_start_off_the_grid_raises(self):
@@ -88,7 +100,7 @@ class TestEstimateMotion:
         # still vote on the 64x64 grid, so only the velocity shows the runaway
         batch = small_scene_batch()
         v0 = Velocity(70.0, 0.0)
-        assert scatter_iwe(warp_batch(batch, v0), (64, 64)).in_bounds_mass > 0.0
+        assert ascent_readout(batch, v0, (64, 64)).in_bounds_mass > 0.0
         with pytest.raises(OptimizationError,
                            match=r"beyond the 64x64 grid at iteration 0, v = \(70, 0\)"):
             estimate_motion(batch, OptimizerConfig(iterations=3, v_init=v0), shape=(64, 64))
@@ -111,7 +123,7 @@ class TestEstimateMotion:
         # gradient's sign
         batch = random_interior_batch(rng, 120)
         v0 = Velocity(0.25, -0.5)
-        _, g_vx, g_vy = evaluate(scatter_iwe(warp_batch(batch, v0), (64, 64)))
+        _, g_vx, g_vy = evaluate(ascent_readout(batch, v0, (64, 64)))
         assert g_vx != 0.0 and g_vy != 0.0
         v, trace = estimate_motion(
             batch, OptimizerConfig(iterations=1, v_init=v0), shape=(64, 64)
@@ -172,7 +184,7 @@ class TestEstimateMotion:
         assert len(trace) == 15
         acc = BankedAccumulator((16, 16))
         for r in trace.records:
-            acc.accumulate(warp_batch(batch, r.v))
+            acc.accumulate(ascent_warp(batch, r.v))
             imgs = acc.read_and_clear()
             assert contrast(imgs.iwe)[0] == r.contrast
             _, g_vx, g_vy = contrast_gradient_scalar(imgs)
@@ -207,8 +219,8 @@ class TestFinalImageSet:
             OptimizerConfig(iterations=5, v_init=Velocity(1.0, -0.5)),
             shape=(64, 64),
         )
-        ref = accumulate_images(warp_batch(batch, v), (64, 64))
-        banked = accumulate_images(warp_batch(batch, v), (64, 64), BankedAccumulator)
+        ref = ascent_readout(batch, v, (64, 64))
+        banked = accumulate_images(ascent_warp(batch, v), (64, 64), BankedAccumulator)
         assert np.array_equal(trace.final_iwe, ref.iwe)
         assert np.array_equal(trace.final_iwe, banked.iwe)
         assert trace.final_contrast == contrast(ref.iwe)[0]
@@ -232,7 +244,7 @@ class TestFinalImageSet:
             assert trace.final_contrast == trace.records[-1].contrast
         else:
             assert trace.readouts == iterations + 1  # closed with a readout
-        c, _, _ = evaluate(scatter_iwe(warp_batch(batch, v), (64, 64)))
+        c, _, _ = evaluate(ascent_readout(batch, v, (64, 64)))
         assert trace.final_contrast == 2.0 * c
 
 
@@ -310,6 +322,29 @@ def test_ascent_readout_matches_a_fresh_scatter(events, n, rng):
         assert readout_bytes(grid) == readout_bytes(scatter_iwe(warp_batch(batch, v), (64, 64)))
         if events == "edges" and n > 1:
             assert (grid.in_bounds_mass == 0.0) == off_grid
+
+
+@pytest.mark.parametrize("v_init", [Velocity(0.0, 0.0), Velocity(2.5, -1.25)],
+                         ids=["standing-start", "warm-start"])
+def test_every_ascent_warp_is_the_oracle_warp(v_init, monkeypatch):
+    # every oracle comparison of an ascent rests on this: each warp that
+    # estimate_motion makes is, bit for bit, the oracle's ascent_warp (from
+    # ascent_xy) at the velocity it was made at
+    warps = []
+
+    def recorded(batch, v, out=None):
+        warped = warp_batch(batch, v, out=out)
+        warps.append((v, warped.xy.tobytes(), warped.dts.tobytes()))
+        return warped
+
+    monkeypatch.setattr("evcm.optimizer.warp_batch", recorded)
+    batch = small_scene_batch()
+    estimate_motion(batch, OptimizerConfig(iterations=20, v_init=v_init), shape=(64, 64))
+    assert len(warps) > 1
+    for v, xy, dts in warps:
+        ref = ascent_warp(batch, v)
+        assert xy == ref.xy.tobytes(), f"ascent_xy is not what the ascent warps at {v}"
+        assert dts == ref.dts.tobytes()
 
 
 def flat_batch():
@@ -438,12 +473,14 @@ def test_ascent_on_a_cusp_axis_stops_reading_out(readouts):
     assert len(trace) == cfg.iterations
 
 
-@pytest.mark.parametrize("batch,cfg", [
-    (small_scene_batch(), OptimizerConfig(iterations=3, v_init=Velocity(1e6, 0.0))),
-    (edge_pair_batch(t_last_us=5), OptimizerConfig(iterations=5)),
-    (small_scene_batch(), OptimizerConfig(iterations=3, v_init=Velocity(70.0, 0.0))),
+@pytest.mark.parametrize("batch,cfg,pinned", [
+    (small_scene_batch(), OptimizerConfig(iterations=3, v_init=Velocity(1e6, 0.0)), False),
+    (edge_pair_batch(), OptimizerConfig(iterations=5, v_init=HALF_PIXEL), True),
+    (small_scene_batch(), OptimizerConfig(iterations=3, v_init=Velocity(70.0, 0.0)), False),
 ], ids=["off-the-grid-start", "runaway-first-step", "beyond-the-grid-start"])
-def test_runaway_matches_every_iteration_ascent(batch, cfg):
+def test_runaway_matches_every_iteration_ascent(batch, cfg, pinned, request):
+    if pinned:  # the edge pair's first step, pinned to +vx in both ascents
+        request.getfixturevalue("unit_vx_gradient")
     with pytest.raises(OptimizationError) as got:
         estimate_motion(batch, cfg, shape=(64, 64))
     with pytest.raises(OptimizationError) as ref:

@@ -8,9 +8,10 @@ from evcm.objective import contrast
 from evcm.optimizer import OptimizerConfig, estimate_motion
 from evcm.synth import SceneConfig, generate_scene
 from evcm.tracker import TrackerConfig, track, update_roi
-from evcm.warp import Velocity, warp_batch
+from evcm.warp import Velocity
 
-from conftest import accumulate_images, event_array
+from conftest import event_array
+from oracles import ascent_readout
 
 
 class TestUpdateRoi:
@@ -109,8 +110,8 @@ class TestTrack:
         for i, rec in enumerate(res.records):
             start = i * cfg.batch_size
             batch = filter_roi(make_batch(sc[start : start + cfg.batch_size]), rec.roi)
-            imgs = accumulate_images(warp_batch(batch, rec.velocity), (64, 64))
-            assert rec.contrast == contrast(imgs.iwe)[0]
+            grid = ascent_readout(batch, rec.velocity, (64, 64))
+            assert rec.contrast == contrast(grid.iwe)[0]
 
     def test_batch_size_larger_than_stream(self):
         sc = scene_events(batches=1)
