@@ -21,7 +21,9 @@ complement, clamp) is one call over both rows.
   every update in flight, each bank word is the in-order sum of its
   updates, so the banks' images are the naive ones; the model adds
   whole-array hazard analysis of each bank's address stream (issued
-  updates and forwarding hits per bank). Corner c of an event whose
+  updates and forwarding hits per bank), counted from each window's one
+  vote as its pipelines drain at readout, so the counters cover the
+  windows read out so far. Corner c of an event whose
   stencil floor has parity q goes to bank c XOR q, so bank b holds corner
   b XOR q; as an event sends one update per bank, masking the issued
   flags in (role, bank, event) order lists each bank's stream in issue
@@ -247,7 +249,8 @@ def _hazards(s: IweScatter, d_vx: np.ndarray, d_vy: np.ndarray) -> np.ndarray:
 
 class _Accumulator:
     """What both accumulators share: the readout window, the batches (not
-    copies) of every ``accumulate`` call since the last readout."""
+    copies) of every ``accumulate`` call since the last readout, and its
+    one vote at ``read_and_clear``."""
 
     def __init__(self, shape: tuple[int, int]) -> None:
         _check_grid(shape)
@@ -257,28 +260,27 @@ class _Accumulator:
     def accumulate(self, warped: WarpedBatch) -> None:
         self._window.append(warped)
 
-    def _votes(self) -> tuple[IweScatter, np.ndarray, np.ndarray]:
-        """The window's batches concatenated in call order and voted once:
-        their ``IweScatter`` and its derivative votes."""
+    def read_and_clear(self) -> ImageSet:
+        """Vote the window's batches, concatenated in call order, once
+        through one ``IweScatter``; close the window and return its images."""
         xy = np.concatenate([np.empty((2, 0)), *(w.xy for w in self._window)], axis=1)
         dts = np.concatenate([np.empty(0), *(w.dts for w in self._window)])
         s = IweScatter(len(dts), self.shape)
         s.scatter(WarpedBatch(xy, dts))
-        return (s, *s.derivative_votes())
-
-    def _read(self, s: IweScatter, d_vx: np.ndarray, d_vy: np.ndarray) -> ImageSet:
-        """Close the window and return the images of its ``_votes``."""
+        d_vx, d_vy = s.derivative_votes()
+        self._drain(s, d_vx, d_vy)
         self._window = []
         return ImageSet(iwe=s.iwe, d_vx=_image(s._index, d_vx, self.shape),
                         d_vy=_image(s._index, d_vy, self.shape),
                         in_bounds_mass=s.in_bounds_mass)
 
+    def _drain(self, s: IweScatter, d_vx: np.ndarray, d_vy: np.ndarray) -> None:
+        """What the datapath does with a window's votes as its pipelines
+        drain at readout; the reference has no pipelines."""
+
 
 class NaiveAccumulator(_Accumulator):
     """Reference accumulator of the three images, with clear-on-read."""
-
-    def read_and_clear(self) -> ImageSet:
-        return self._read(*self._votes())
 
 
 class BankedAccumulator(_Accumulator):
@@ -303,33 +305,28 @@ class BankedAccumulator(_Accumulator):
 
     ``read_and_clear`` models the clear-on-read BRAM scheme: the pipelines
     drain, and it returns the window's images and leaves every bank zeroed.
-    The two counters run on across readouts, over the accumulator's life;
-    the open window's share is voted once per window state, at the first
-    counter read after an ``accumulate`` or ``read_and_clear``.
+    A window's hazards are counted then, once, from the readout's own votes.
+    The two counters cover the windows read out so far, over the
+    accumulator's life; an open window counts nothing until it is read out,
+    and reading a counter votes nothing.
     """
 
     def __init__(self, shape: tuple[int, int]) -> None:
         check_bank_grid(shape)
         super().__init__(shape)
-        # the _hazards of the windows read out so far, and of the open one
-        # once a counter has asked (None until then)
-        self._closed = np.zeros((2, 4 * len(ROLES)), dtype=np.int64)
-        self._open: np.ndarray | None = None
+        # the _hazards of the windows read out so far
+        self._counts = np.zeros((2, 4 * len(ROLES)), dtype=np.int64)
 
-    def accumulate(self, warped: WarpedBatch) -> None:
-        super().accumulate(warped)
-        self._open = None
+    def _drain(self, s: IweScatter, d_vx: np.ndarray, d_vy: np.ndarray) -> None:
+        self._counts += _hazards(s, d_vx, d_vy)
 
     def _per_bank(self, which: int, role: str) -> tuple[int, int, int, int]:
         """Row ``which`` of the ``_hazards`` counts for one role's banks,
-        over the windows read out and the one still open."""
+        over the windows read out so far."""
         if role not in ROLES:
             raise ValueError(f"unknown image role {role!r}, expected one of {ROLES}")
-        if self._open is None:
-            self._open = _hazards(*self._votes())
-        counts = self._closed + self._open
         k = 4 * ROLES.index(role)
-        return tuple(counts[which, k:k + 4].tolist())  # type: ignore[return-value]
+        return tuple(self._counts[which, k:k + 4].tolist())  # type: ignore[return-value]
 
     def bank_occupancy(self, role: str = "iwe") -> tuple[int, int, int, int]:
         """Non-zero updates issued per parity bank for one image role."""
@@ -339,9 +336,3 @@ class BankedAccumulator(_Accumulator):
         """Updates per parity bank for one image role that read their word
         from the forwarding buffer, as it was still in flight."""
         return self._per_bank(1, role)
-
-    def read_and_clear(self) -> ImageSet:
-        votes = self._votes()
-        self._closed += _hazards(*votes)  # the pipelines drain
-        self._open = None
-        return self._read(*votes)
