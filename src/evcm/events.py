@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import re
+import stat
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -115,9 +117,18 @@ _BLOCK_BYTES = 1 << 20
 def _blocks(file):
     """The rest of ``file`` in blocks of whole lines, each about
     ``_BLOCK_BYTES`` long: a block ends after the last ``\\n`` of its reads,
-    or at the end of the file. A line longer than a block stays whole."""
+    or at the end of the file. A line longer than a block stays whole.
+
+    A read asks for a block, or for what a regular file still holds if that
+    is less, so a small file is not read with a whole block's request. A
+    pipe, or a file whose size reads 0, is read a block at a time.
+    """
+    info = os.fstat(file.fileno())
+    sized = stat.S_ISREG(info.st_mode) and info.st_size > 0
+    left = max(info.st_size - file.tell(), 0) if sized else math.inf
     head = []  # the reads since the last "\n"
-    while len(chunk := file.read(_BLOCK_BYTES)) == _BLOCK_BYTES:
+    while len(chunk := file.read(min(_BLOCK_BYTES, left))) == _BLOCK_BYTES:
+        left -= _BLOCK_BYTES
         cut = chunk.rfind(b"\n") + 1
         if cut:
             yield b"".join([*head, chunk[:cut]])

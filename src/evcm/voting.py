@@ -12,8 +12,9 @@ complement, clamp) is one call over both rows.
 * The estimator scatters the IWE of each readout and gathers its gradient.
 * ``NaiveAccumulator`` and ``BankedAccumulator`` share one readout window,
   the batches of every ``accumulate`` call since the last readout. At
-  ``read_and_clear`` they vote its blocks, concatenated into one, through
-  one ``IweScatter``, whose derivative votes give the other two images.
+  ``read_and_clear`` they vote its blocks, concatenated into one (a window
+  of one call is voted as it is), through one ``IweScatter``, whose
+  derivative votes give the other two images.
 * ``BankedAccumulator`` models the hardware datapath: 12 memory banks
   (3 image roles x 4 coordinate-parity banks), each a 3-stage
   read-modify-write pipeline with a 3-entry forwarding buffer resolving
@@ -27,8 +28,11 @@ complement, clamp) is one call over both rows.
   stencil floor has parity q goes to bank c XOR q, so bank b holds corner
   b XOR q; as an event sends one update per bank, masking the issued
   flags in (role, bank, event) order lists each bank's stream in issue
-  order, with no sort. It is driven directly, as a model of the datapath,
-  not as an estimator mode.
+  order, with no sort. The routing is looked up, not computed: tables
+  built once per grid give, for each stencil anchor (its padded floor) and
+  bank, the corner the bank holds, or none off the grid, and the tagged
+  word it updates. The accumulator is driven directly, as a model of the
+  datapath, not as an estimator mode.
 
 ``np.bincount`` adds each pixel's votes one at a time in stream order, so
 every pixel is the same sequential sum wherever it is voted, however a
@@ -37,11 +41,15 @@ window was cut into calls. Off-grid corners land in a PAD-pixel ring.
 Batch-sized temporaries of hundreds of KB go back to the OS and are
 page-faulted in again on every readout, which costs more than the
 arithmetic, so ``IweScatter`` keeps its stencil and gather buffers for the
-whole ascent, and the estimator warps into one kept block.
+whole ascent, and the estimator warps into one kept block. Likewise each
+accumulator keeps its ``IweScatter`` while its windows' event count
+repeats, and the scatter keeps the derivative votes' buffers, made at the
+first ``derivative_votes`` call, which the estimator never makes.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -145,6 +153,7 @@ class IweScatter:
         # the gathered image on the padded grid; the ring stays 0, so
         # corners that left the grid gather nothing
         self._padded = np.zeros((h + 2 * PAD, w + 2 * PAD))
+        self._votes = None  # derivative_votes' (2, n, 4) buffer, made on first use
 
     def scatter(self, warped: WarpedBatch) -> None:
         """Build the bilinear stencil of ``warped`` and sum its IWE.
@@ -185,14 +194,24 @@ class IweScatter:
     def derivative_votes(self) -> tuple[np.ndarray, np.ndarray]:
         """The (n, 4) votes of ∂I/∂vx and ∂I/∂vy at ``_index``, I being the
         IWE last scattered: the scatter form of ∂w/∂v, whose transpose is
-        ``gather``."""
+        ``gather``. The two arrays are buffers kept by the scatter, made at
+        the first call, and the next call overwrites them."""
+        if self._votes is None:
+            self._votes = np.empty((2,) + self._index.shape)
+        d_vx, d_vy = self._votes
         dx, dy, one_dx, one_dy = self._frac
-        ndt = -self._dts
-        # ndt * (-a) == -(ndt * a) exactly: IEEE rounding is sign-symmetric
-        a, b = ndt * one_dy, ndt * dy
-        d_vx = np.stack((-a, a, -b, b), axis=1)
-        a, b = ndt * one_dx, ndt * dx
-        return d_vx, np.stack((-a, -b, a, b), axis=1)
+        dts = self._dts
+        # ∂x'/∂vx = -dt, so per corner ∂w/∂vx is dt·(1−dy, −(1−dy), dy, −dy)
+        # and ∂w/∂vy is dt·(1−dx, dx, −(1−dx), −dx)
+        np.multiply(dts, one_dy, out=d_vx[:, 0])
+        np.negative(d_vx[:, 0], out=d_vx[:, 1])
+        np.multiply(dts, dy, out=d_vx[:, 2])
+        np.negative(d_vx[:, 2], out=d_vx[:, 3])
+        np.multiply(dts, one_dx, out=d_vy[:, 0])
+        np.multiply(dts, dx, out=d_vy[:, 1])
+        np.negative(d_vy[:, 0], out=d_vy[:, 2])
+        np.negative(d_vy[:, 1], out=d_vy[:, 3])
+        return d_vx, d_vy
 
     def gather(self, image: np.ndarray) -> tuple[float, float]:
         """(Σ_p image[p]·∂I[p]/∂vx, Σ_p image[p]·∂I[p]/∂vy) over the pixels p of
@@ -211,40 +230,84 @@ class IweScatter:
         return float(np.dot(self._dts, t[0])), float(np.dot(self._dts, t[1]))
 
 
-def _hazards(s: IweScatter, d_vx: np.ndarray, d_vy: np.ndarray) -> np.ndarray:
-    """(2, 12) issued updates and forwarding hits per bank key (role * 4 +
-    parity bank) of one readout window's votes, scattered by ``s`` with
-    derivative votes ``d_vx``, ``d_vy``; the window starts with the
-    pipelines drained.
+class _Routes:
+    """The banks' routing on one grid, as tables indexed by a stencil's
+    anchor: the padded index of its clamped floor (i, j), ``_index[:, 0]``.
 
-    The streams follow the datapath's routing, with no sort. An event
-    whose clamped stencil floor (i, j) has parity q = (i & 1) + 2 * (j & 1)
-    sends its corner c = cx + 2 * cy, pixel (i + cx, j + cy), to bank
-    c XOR q: bank b holds corner b XOR q. So within a role each event
-    issues at most one update per bank, and masking the (role, bank, event)
-    issued flags in C order lists each bank's stream in issue order.
+    PAD is even, so a padded pixel has its unpadded pixel's parity. For each
+    anchor p of parity q = (i & 1) + 2 * (j & 1) and each bank b, the pixel
+    bank b holds is corner b XOR q of the stencil. ``corner[b, p]`` is that
+    corner, or ``OFF`` when the pixel is off the grid, and
+    ``tag[r, b, p]`` is the pixel's padded index, which names a bank word,
+    plus ``(r * 4 + b) * words``: a tag matches another only within one
+    role's stream into one bank, and the streams' tags rise with r * 4 + b.
+    ``ends`` are the bounds between the streams' tags.
     """
-    w_dim, h_dim = s.shape
-    inside = np.zeros((h_dim + 2 * PAD, w_dim + 2 * PAD), dtype=bool)
-    inside[PAD:-PAD, PAD:-PAD] = True
-    # PAD is even, so the padded floors have the floors' parity
-    j, i = np.divmod(s._index[:, 0], w_dim + 2 * PAD)
+
+    # past every stencil's flags, so np.take with mode="clip" reads the
+    # False flag after them
+    OFF = np.iinfo(np.intp).max // 2
+
+    def __init__(self, shape: tuple[int, int]) -> None:
+        w, h = shape
+        pw = w + 2 * PAD
+        inside = np.zeros((h + 2 * PAD, pw), dtype=bool)
+        inside[PAD:-PAD, PAD:-PAD] = True
+        self.words = inside.size
+        # the clamped floors reach (w, h), whose far corner ends the padded grid
+        anchor = np.arange((h + PAD) * pw + w + PAD + 1)
+        j, i = np.divmod(anchor, pw)
+        corner = np.arange(4)[:, None] ^ ((i & 1) | (j & 1) << 1)
+        pixel = anchor + np.array((0, 1, pw, pw + 1))[corner]
+        self.corner = np.where(inside.ravel()[pixel], corner, self.OFF)
+        keys = np.arange(4 * len(ROLES)).reshape(len(ROLES), 4, 1)
+        self.tag = keys * self.words + pixel
+        self.ends = np.arange(4 * len(ROLES) + 1) * self.words
+        for table in (self.corner, self.tag, self.ends):
+            table.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=4)
+def _routes(shape: tuple[int, int]) -> _Routes:
+    """The routing tables of a grid, built once and shared by every
+    accumulator on it."""
+    return _Routes(shape)
+
+
+def _hazards(routes: _Routes, s: IweScatter, d_vx: np.ndarray,
+             d_vy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The issued updates and the forwarding hits per bank key (role * 4 +
+    parity bank), each (12,), of one readout window's votes, scattered by
+    ``s`` with derivative votes ``d_vx``, ``d_vy``; the window starts with
+    the pipelines drained.
+
+    The streams follow the datapath's routing, looked up in ``routes`` by
+    each stencil's anchor, with no sort. An event whose clamped stencil
+    floor (i, j) has parity q = (i & 1) + 2 * (j & 1) sends its corner
+    c = cx + 2 * cy, pixel (i + cx, j + cy), to bank c XOR q: bank b holds
+    corner b XOR q. So within a role each event issues at most one update
+    per bank, and masking the (role, bank, event) issued flags in C order
+    lists each bank's stream in issue order.
+    """
+    anchor = s._index[:, 0]
+    size = s._index.size
     # (4, n): each bank's corner, as a flat index into the (n, 4) stencil
-    corner = np.arange(4)[:, None] ^ ((i & 1) | (j & 1) << 1)
-    corner += np.arange(0, s._index.size, 4)
-    word = np.take(s._index, corner)  # a padded index names a bank word
-    nonzero = np.stack((s._weight, d_vx, d_vy)).reshape(len(ROLES), -1) != 0.0
-    issued = np.take(nonzero, corner, axis=1)
-    issued &= np.take(inside, word)
-    # a tag is (role * 4 + bank) * pixels + word, so it matches one of the
-    # previous PIPELINE_DEPTH tags only within its own bank's stream
-    keys = inside.size * np.arange(4 * len(ROLES)).reshape(len(ROLES), 4, 1)
-    tags = (keys + word)[issued]
+    corner = np.take(routes.corner, anchor, axis=1)
+    corner += np.arange(0, size, 4)
+    # each role's non-zero flags, and one False flag read for OFF corners
+    nonzero = np.empty((len(ROLES), size + 1), dtype=bool)
+    nonzero[:, size] = False
+    for votes, flags in zip((s._weight, d_vx, d_vy), nonzero):
+        np.not_equal(votes.ravel(), 0.0, out=flags[:size])
+    issued = np.take(nonzero, corner, axis=1, mode="clip")
+    tags = np.take(routes.tag, anchor, axis=2)[issued]
     hit = np.zeros(tags.size, dtype=bool)
     for d in range(1, PIPELINE_DEPTH + 1):
         hit[d:] |= tags[d:] == tags[:-d]
-    return np.stack((np.count_nonzero(issued, axis=2).ravel(),
-                     np.bincount(tags[hit] // inside.size, minlength=4 * len(ROLES))))
+    # the streams lie in key order, so a binary search finds their bounds
+    ends = np.searchsorted(tags, routes.ends)
+    hits = np.bincount(tags[hit] // routes.words, minlength=4 * len(ROLES))
+    return ends[1:] - ends[:-1], hits
 
 
 class _Accumulator:
@@ -256,17 +319,27 @@ class _Accumulator:
         _check_grid(shape)
         self.shape = shape
         self._window: list[WarpedBatch] = []
+        self._scatter = IweScatter(0, shape)
 
     def accumulate(self, warped: WarpedBatch) -> None:
         self._window.append(warped)
 
     def read_and_clear(self) -> ImageSet:
         """Vote the window's batches, concatenated in call order, once
-        through one ``IweScatter``; close the window and return its images."""
-        xy = np.concatenate([np.empty((2, 0)), *(w.xy for w in self._window)], axis=1)
-        dts = np.concatenate([np.empty(0), *(w.dts for w in self._window)])
-        s = IweScatter(len(dts), self.shape)
-        s.scatter(WarpedBatch(xy, dts))
+        through one ``IweScatter``; close the window and return its images.
+        The scatter, with its buffers, is kept while the windows' event
+        count repeats."""
+        window = self._window
+        if len(window) == 1:
+            warped = window[0]
+        else:
+            warped = WarpedBatch(
+                np.concatenate([np.empty((2, 0)), *(w.xy for w in window)], axis=1),
+                np.concatenate([np.empty(0), *(w.dts for w in window)]))
+        if len(self._scatter._index) != len(warped):
+            self._scatter = IweScatter(len(warped), self.shape)
+        s = self._scatter
+        s.scatter(warped)
         d_vx, d_vy = s.derivative_votes()
         self._drain(s, d_vx, d_vy)
         self._window = []
@@ -314,11 +387,14 @@ class BankedAccumulator(_Accumulator):
     def __init__(self, shape: tuple[int, int]) -> None:
         check_bank_grid(shape)
         super().__init__(shape)
+        self._routes = _routes(tuple(shape))
         # the _hazards of the windows read out so far
         self._counts = np.zeros((2, 4 * len(ROLES)), dtype=np.int64)
 
     def _drain(self, s: IweScatter, d_vx: np.ndarray, d_vy: np.ndarray) -> None:
-        self._counts += _hazards(s, d_vx, d_vy)
+        issued, hits = _hazards(self._routes, s, d_vx, d_vy)
+        self._counts[0] += issued
+        self._counts[1] += hits
 
     def _per_bank(self, which: int, role: str) -> tuple[int, int, int, int]:
         """Row ``which`` of the ``_hazards`` counts for one role's banks,

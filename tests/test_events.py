@@ -179,6 +179,42 @@ class TestParseEvents:
         with pytest.raises(EventParseError, match="line 51"):
             parse_piped("\n".join(lines).encode())
 
+    def test_reads_ask_no_more_than_a_file_holds(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(events, "_BLOCK_BYTES", 64)
+
+        class Recorded:
+            """A file whose reads record the byte counts they asked for."""
+
+            def __init__(self, file):
+                self.file, self.asked = file, []
+
+            def fileno(self):
+                return self.file.fileno()
+
+            def tell(self):
+                return self.file.tell()
+
+            def read(self, size):
+                self.asked.append(size)
+                return self.file.read(size)
+
+        data = "".join(f"{10 * t} {t % 240} {t % 180} {t % 2}\n" for t in range(20)).encode()
+        path = tmp_path / "events.txt"
+        for size, asked in ((30, [30]), (64, [64, 0]), (65, [64, 1]), (200, [64] * 3 + [8])):
+            path.write_bytes(data[:size])
+            with open(path, "rb") as file:
+                blocks = list(events._blocks(reader := Recorded(file)))
+            assert b"".join(blocks) == data[:size]
+            assert reader.asked == asked, size
+        # a pipe tells no size: every read asks for a block
+        read, write = os.pipe()
+        with os.fdopen(write, "wb") as fh:
+            fh.write(data[:150])
+        with open(read, "rb") as file:
+            blocks = list(events._blocks(reader := Recorded(file)))
+        assert b"".join(blocks) == data[:150]
+        assert reader.asked == [64] * 3
+
     def test_memory_beyond_the_columns_does_not_grow_with_the_file(
         self, tmp_path, monkeypatch
     ):

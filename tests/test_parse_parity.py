@@ -197,6 +197,17 @@ def test_every_block_size_matches_scalar_oracle():
                 assert outcomes(data, SENSOR)[0] == expected, (name, block)
 
 
+def test_files_of_a_block_and_a_byte_either_side_match_scalar_oracle():
+    # a file a byte shorter than a block, as long as one and a byte longer:
+    # reads sized to what the file still holds cut the blocks reads of a
+    # whole block would
+    for name, data in BLOCK_CASES.items():
+        expected = outcomes(data, SENSOR)[1]
+        for block in (len(data) - 1, len(data), len(data) + 1):
+            with mock.patch.object(events, "_BLOCK_BYTES", block):
+                assert outcomes(data, SENSOR)[0] == expected, (name, block)
+
+
 TOKENS = [
     "0", "7", "+7", "007", "0.5", ".5", "5.", "2.5e-6", "1.5E3", "-0.0",
     "abc", "1x", "--1", "1.2.3", "0x10", ".", "1e3", "+", "1\x002", "\xff7", "#",

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evcm.voting import (
+    PAD,
     ROLES,
     BankedAccumulator,
     IweScatter,
@@ -236,6 +237,36 @@ class TestBankedEquivalence:
             )
 
 
+class TestRoutingTables:
+    """The banks' routing tables against the rule in ``BankedAccumulator``'s
+    docstring, at every anchor a clamped stencil floor can have."""
+
+    @pytest.mark.parametrize("grid", [(2, 2), (8, 6), (64, 64)])
+    def test_every_anchor_routes_by_the_parity_rule(self, grid):
+        w, h = grid
+        routes = BankedAccumulator(grid)._routes
+        pw, ph = w + 2 * PAD, h + 2 * PAD
+        offsets = (0, 1, pw, pw + 1)  # corner c = cx + 2 * cy, as padded offsets
+        for j in range(-PAD, h + 1):  # the floors are clamped to [-PAD, w] x [-PAD, h]
+            for i in range(-PAD, w + 1):
+                anchor = (j + PAD) * pw + i + PAD
+                q = (i & 1) + 2 * (j & 1)
+                for b in range(4):
+                    for r in range(len(ROLES)):
+                        key, pixel = divmod(int(routes.tag[r, b, anchor]), pw * ph)
+                        assert key == r * 4 + b
+                        pj, pi = divmod(pixel, pw)
+                        pi, pj = pi - PAD, pj - PAD
+                        # the pixel has parity b, lies in the anchor's 2x2
+                        # stencil and is its corner b XOR q
+                        assert (pi & 1) + 2 * (pj & 1) == b
+                        assert (pi - i, pj - j) in ((0, 0), (1, 0), (0, 1), (1, 1))
+                        assert pixel == anchor + offsets[b ^ q]
+                    on_grid = 0 <= pi < w and 0 <= pj < h
+                    want = b ^ q if on_grid else routes.OFF
+                    assert routes.corner[b, anchor] == want, (i, j, b)
+
+
 ORACLE_GRID = (8, 6)
 
 # a coordinate: sub-pixel, whole-pixel (zero-weight corners, never issued),
@@ -311,6 +342,37 @@ class TestDatapathOracle:
             assert counters() == before
             acc.read_and_clear()
             assert counters() != before
+
+
+class TestKeptBuffers:
+    """One accumulator keeps its scatter and vote buffers while the windows'
+    event count repeats, and remakes them when it changes: every readout is
+    a fresh accumulator's, and the counters follow the per-update loop."""
+
+    @pytest.mark.parametrize("grid", [(64, 64), (8, 6)])
+    def test_windows_of_changing_sizes_match_fresh_accumulators(self, rng, grid):
+        n, m = 301, 187
+        # (events, where the window is cut into two accumulate calls)
+        windows = [(n, None), (n, 120), (m, None), (0, None), (n, 1)]
+        acc = BankedAccumulator(grid)
+        oracle = BankedDatapathOracle(grid)
+        for size, cut in windows:
+            warped = edge_stream(rng, size, grid)
+            bounds = [0, size] if cut is None else [0, cut, size]
+            pieces = [wbatch(warped.xs[s:e], warped.ys[s:e], warped.dts[s:e])
+                      for s, e in zip(bounds, bounds[1:])]
+            fresh = BankedAccumulator(grid)
+            for piece in pieces:
+                acc.accumulate(piece)
+                fresh.accumulate(piece)
+                oracle.accumulate(piece)
+            got, want = acc.read_and_clear(), fresh.read_and_clear()
+            assert_imagesets_identical(got, want)
+            assert got.in_bounds_mass == want.in_bounds_mass
+            assert_imagesets_identical(got, oracle.read_and_clear())
+            for role in ROLES:
+                assert acc.bank_occupancy(role) == oracle.bank_occupancy(role)
+                assert acc.forwarding_hits(role) == oracle.forwarding_hits(role)
 
 
 def scalar_oracle(warped: WarpedBatch, shape) -> tuple[np.ndarray, ...]:
@@ -458,6 +520,27 @@ class TestGather:
         shape = (16, 12)
         image = rng.normal(-0.5, 2.0, shape[::-1])
         self.assert_transpose_of_gather(edge_stream(rng, n, shape), image, shape)
+
+
+    def test_derivative_votes_at_two_velocities_match_the_scalar_votes(self, rng):
+        # every stencil stays on the grid at both velocities, so each of the
+        # four columns is checked; the second call overwrites the first's
+        shape = (16, 12)
+        batch = random_interior_batch(rng, 200, shape, margin=4)
+        grid = IweScatter(len(batch), shape)
+        calls = []
+        for v in (Velocity(1.5, -2.0), Velocity(-0.75, 0.5)):
+            warped = warp_batch(batch, v)
+            grid.scatter(warped)
+            votes = grid.derivative_votes()
+            want = [[[c.dwx, c.dwy][axis] for c in bilinear_votes(we, shape)]
+                    for axis in (0, 1) for we in warped_events(warped)]
+            want = np.array(want).reshape(2, len(batch), 4)
+            for axis in (0, 1):
+                assert np.array_equal(votes[axis], want[axis]), axis
+            calls.append((votes, want))
+        (first, _), (_, last) = calls
+        assert np.array_equal(first[0], last[0]) and np.array_equal(first[1], last[1])
 
     def test_zero_image_gathers_zero(self, rng):
         shape = (16, 12)
