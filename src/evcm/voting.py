@@ -237,11 +237,12 @@ class _Routes:
     PAD is even, so a padded pixel has its unpadded pixel's parity. For each
     anchor p of parity q = (i & 1) + 2 * (j & 1) and each bank b, the pixel
     bank b holds is corner b XOR q of the stencil. ``corner[b, p]`` is that
-    corner, or ``OFF`` when the pixel is off the grid, and
-    ``tag[r, b, p]`` is the pixel's padded index, which names a bank word,
-    plus ``(r * 4 + b) * words``: a tag matches another only within one
-    role's stream into one bank, and the streams' tags rise with r * 4 + b.
-    ``ends`` are the bounds between the streams' tags.
+    corner, or ``OFF`` when the pixel is off the grid, and ``tag[b, p]`` is
+    the pixel's padded index, which names a bank word, plus
+    ``b * words``. Adding ``roles``, ``r * 4 * words`` for role r, keys a
+    tag to one role's stream into one bank: it matches another only within
+    that stream, and the streams' tags rise with r * 4 + b, split at
+    ``ends``.
     """
 
     # past every stencil's flags, so np.take with mode="clip" reads the
@@ -260,10 +261,10 @@ class _Routes:
         corner = np.arange(4)[:, None] ^ ((i & 1) | (j & 1) << 1)
         pixel = anchor + np.array((0, 1, pw, pw + 1))[corner]
         self.corner = np.where(inside.ravel()[pixel], corner, self.OFF)
-        keys = np.arange(4 * len(ROLES)).reshape(len(ROLES), 4, 1)
-        self.tag = keys * self.words + pixel
+        self.tag = pixel + self.words * np.arange(4)[:, None]
+        self.roles = 4 * self.words * np.arange(len(ROLES)).reshape(-1, 1, 1)
         self.ends = np.arange(4 * len(ROLES) + 1) * self.words
-        for table in (self.corner, self.tag, self.ends):
+        for table in (self.corner, self.tag, self.roles, self.ends):
             table.flags.writeable = False
 
 
@@ -300,7 +301,7 @@ def _hazards(routes: _Routes, s: IweScatter, d_vx: np.ndarray,
     for votes, flags in zip((s._weight, d_vx, d_vy), nonzero):
         np.not_equal(votes.ravel(), 0.0, out=flags[:size])
     issued = np.take(nonzero, corner, axis=1, mode="clip")
-    tags = np.take(routes.tag, anchor, axis=2)[issued]
+    tags = (np.take(routes.tag, anchor, axis=1) + routes.roles)[issued]
     hit = np.zeros(tags.size, dtype=bool)
     for d in range(1, PIPELINE_DEPTH + 1):
         hit[d:] |= tags[d:] == tags[:-d]

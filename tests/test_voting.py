@@ -253,15 +253,16 @@ class TestRoutingTables:
                 q = (i & 1) + 2 * (j & 1)
                 for b in range(4):
                     for r in range(len(ROLES)):
-                        key, pixel = divmod(int(routes.tag[r, b, anchor]), pw * ph)
+                        tag = int(routes.tag[b, anchor] + routes.roles[r, 0, 0])
+                        key, pixel = divmod(tag, pw * ph)
                         assert key == r * 4 + b
-                        pj, pi = divmod(pixel, pw)
-                        pi, pj = pi - PAD, pj - PAD
-                        # the pixel has parity b, lies in the anchor's 2x2
-                        # stencil and is its corner b XOR q
-                        assert (pi & 1) + 2 * (pj & 1) == b
-                        assert (pi - i, pj - j) in ((0, 0), (1, 0), (0, 1), (1, 1))
-                        assert pixel == anchor + offsets[b ^ q]
+                    pj, pi = divmod(pixel, pw)
+                    pi, pj = pi - PAD, pj - PAD
+                    # the pixel has parity b, lies in the anchor's 2x2
+                    # stencil and is its corner b XOR q
+                    assert (pi & 1) + 2 * (pj & 1) == b
+                    assert (pi - i, pj - j) in ((0, 0), (1, 0), (0, 1), (1, 1))
+                    assert pixel == anchor + offsets[b ^ q]
                     on_grid = 0 <= pi < w and 0 <= pj < h
                     want = b ^ q if on_grid else routes.OFF
                     assert routes.corner[b, anchor] == want, (i, j, b)
