@@ -112,6 +112,11 @@ _COMMENT_LINE = re.compile(rb"^[ \t\x0b\x0c\x1c-\x1f]*#.*", re.MULTILINE)
 # The parse reads a file in blocks of whole lines of about this many bytes, so
 # its memory peak is the columns plus one block's temporaries.
 _BLOCK_BYTES = 1 << 20
+# Pass 1 counts a block's "\n"s over slices of this many bytes: a slice's
+# bool temporary is reused from the heap, where a whole block's is fresh
+# pages, faulted in on every block (a 0.8 MB block on a 2-core Xeon: 0.17
+# against 0.5 ms).
+_COUNT_BYTES = 1 << 16
 
 
 def _blocks(file):
@@ -136,6 +141,13 @@ def _blocks(file):
         head.append(chunk[cut:])
     if tail := b"".join([*head, chunk]):
         yield tail
+
+
+def _newlines(block: bytes) -> int:
+    """The number of ``\\n``s in ``block``, summed over ``_COUNT_BYTES`` slices."""
+    data = np.frombuffer(block, np.uint8)
+    return sum([np.count_nonzero(data[i : i + _COUNT_BYTES] == ord("\n"))
+                for i in range(0, len(data), _COUNT_BYTES)])
 
 
 def _clean(block: bytes) -> bytes:
@@ -262,7 +274,7 @@ def parse_events(path, sensor_size: tuple[int, int]) -> EventArray:
         # if the file (a pipe) cannot be read again
         counts, seconds, kept = [], False, []
         for block in _blocks(file):
-            counts.append(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")))
+            counts.append(_newlines(block))
             if not seconds and b"." in block:
                 block = _clean(block)
                 seconds = b"." in block  # one unit for the whole file

@@ -40,11 +40,19 @@ window was cut into calls. Off-grid corners land in a PAD-pixel ring.
 
 Batch-sized temporaries of hundreds of KB go back to the OS and are
 page-faulted in again on every readout, which costs more than the
-arithmetic, so ``IweScatter`` keeps its stencil and gather buffers for the
-whole ascent, and the estimator warps into one kept block. Likewise each
-accumulator keeps its ``IweScatter`` while its windows' event count
-repeats, and the scatter keeps the derivative votes' buffers, made at the
-first ``derivative_votes`` call, which the estimator never makes.
+arithmetic, so ``IweScatter`` keeps its buffers for the whole ascent, and
+the estimator warps into one kept block. At the paper's operating point
+(~800 events on 64x64) most of a readout is per-call set-up, so the scatter
+also builds once every view a readout touches: the weight columns, the flat
+index and weights that ``bincount`` reads, the floors' transpose for the
+index product, the fraction rows and their reverse, and the gather's padded
+interior, flat grid, corner and term rows. Only ``iwe`` is new on every
+scatter, as the estimator's ``final_iwe`` and every ``ImageSet`` hold it.
+The gather's buffers, with the two (h, w) grids of ``grids``, are made at
+the first ``gather`` and the derivative votes' buffers at the first
+``derivative_votes``: the estimator never makes the latter, and the
+accumulators, which keep their ``IweScatter`` while their windows' event
+count repeats, never the former.
 """
 
 from __future__ import annotations
@@ -124,10 +132,12 @@ class IweScatter:
     """One batch's votes: the IWE, scattered by one ``bincount`` per call,
     and at the kept stencil any image gathered and the derivative votes.
 
-    The stencil and gather buffers of a batch of ``n_events`` events are
-    allocated once, here, and reused by every readout. After ``scatter``,
-    ``iwe`` is the (h, w) image of warped events and ``in_bounds_mass`` its
-    sum; the next ``scatter`` makes a new ``iwe``.
+    The stencil buffers of a batch of ``n_events`` events, and every view
+    of them that a readout reads or writes, are made once, here, and reused
+    by every readout; the gather's buffers are made at the first ``gather``.
+    After ``scatter``, ``iwe`` is the (h, w) image of warped events and
+    ``in_bounds_mass`` its sum; each ``scatter`` makes a new ``iwe``, so an
+    image handed out earlier is never overwritten.
     """
 
     def __init__(self, n_events: int, shape: tuple[int, int]) -> None:
@@ -136,23 +146,27 @@ class IweScatter:
         pw = w + 2 * PAD
         base = PAD * pw + PAD
         self.shape = shape
+        self._padded_shape = (h + 2 * PAD, pw)
+        self._words = (h + 2 * PAD) * pw
         self._index = np.empty((n_events, 4), dtype=np.intp)
         self._weight = np.empty((n_events, 4))
-        self._corners = np.empty((n_events, 4))  # gather target
-        self._terms = np.empty((4, n_events))  # gather's per-event terms
+        self._flat = (self._index.reshape(-1), self._weight.reshape(-1))
+        self._columns = tuple(self._weight.T)
         # rows dx, dy, 1 - dx, 1 - dy and ones; while the index is built,
         # rows 2-4 hold each event's (i, j, 1): its floors and a 1
-        self._rows = np.empty((5, n_events))
-        self._rows[4] = 1.0
-        self._frac = self._rows[:4]
+        rows = np.empty((5, n_events))
+        rows[4] = 1.0
+        self._fracs = tuple(rows[:4])  # dx, dy, 1 - dx, 1 - dy
+        self._reversed = rows[:4][::-1]
+        # the floors borrow the complements' rows
+        self._offset, self._floor = rows[:2], rows[2:4]
+        self._floors = rows[2:].T  # (n, 3): each event's (i, j, 1)
         # (i, j, 1) @ _to_index is the padded index (j + PAD) * pw + i + PAD
         # of the corners (i, j), (i+1, j), (i, j+1), (i+1, j+1)
         self._to_index = np.array(((1.0,) * 4, (pw,) * 4,
                                    (base, base + 1, base + pw, base + pw + 1)))
         self._top = np.array(((w,), (h,)), dtype=np.float64)  # the floors' upper clamp
-        # the gathered image on the padded grid; the ring stays 0, so
-        # corners that left the grid gather nothing
-        self._padded = np.zeros((h + 2 * PAD, w + 2 * PAD))
+        self._gather = None  # the gather's _GatherBuffers, made on first use
         self._votes = None  # derivative_votes' (2, n, 4) buffer, made on first use
 
     def scatter(self, warped: WarpedBatch) -> None:
@@ -160,10 +174,11 @@ class IweScatter:
 
         ``_index`` and ``_weight`` are (n, 4), event-major with the fixed
         corner order (i,j), (i+1,j), (i,j+1), (i+1,j+1): the index into the
-        grid padded by PAD pixels per side and the bilinear weight. ``_frac``
-        holds the fractional offsets dx, dy and their complements. Each step
-        runs once over both coordinate rows and writes into the kept
-        buffers, so a readout allocates nothing sized by n.
+        grid padded by PAD pixels per side and the bilinear weight.
+        ``_fracs`` are the rows of the fractional offsets dx, dy and their
+        complements. Each step runs once over both coordinate rows and
+        writes into the kept buffers, so a readout allocates nothing sized
+        by n.
 
         The floors are clamped to [-PAD, w] x [-PAD, h] before the index is
         built, so a stencil that leaves the grid lands in the padding ring
@@ -174,22 +189,22 @@ class IweScatter:
         float64 whatever order the product sums in.
         """
         self._dts = warped.dts
-        xy = warped.xy
-        # the floors borrow the complements' rows
-        frac, floor = self._frac[:2], self._frac[2:]
+        xy, floor = warped.xy, self._floor
         np.floor(xy, out=floor)
-        np.subtract(xy, floor, out=frac)
+        np.subtract(xy, floor, out=self._offset)
         np.fmax(np.fmin(floor, self._top, out=floor), -PAD, out=floor)
-        np.matmul(self._rows[2:].T, self._to_index, out=self._index, casting="unsafe")
-        np.subtract(1.0, frac, out=floor)
-        dx, dy, one_dx, one_dy = self._frac
-        W = self._weight
-        np.multiply(one_dx, one_dy, out=W[:, 0])
-        np.multiply(dx, one_dy, out=W[:, 1])
-        np.multiply(one_dx, dy, out=W[:, 2])
-        np.multiply(dx, dy, out=W[:, 3])
-        self.iwe = _image(self._index, self._weight, self.shape)
-        self.in_bounds_mass = float(self.iwe.sum())
+        np.matmul(self._floors, self._to_index, out=self._index, casting="unsafe")
+        np.subtract(1.0, self._offset, out=floor)
+        dx, dy, one_dx, one_dy = self._fracs
+        w0, w1, w2, w3 = self._columns
+        np.multiply(one_dx, one_dy, out=w0)
+        np.multiply(dx, one_dy, out=w1)
+        np.multiply(one_dx, dy, out=w2)
+        np.multiply(dx, dy, out=w3)
+        # _image on the kept flat views; astype makes a new iwe each time
+        padded = np.bincount(*self._flat, minlength=self._words)
+        self.iwe = padded.reshape(self._padded_shape)[PAD:-PAD, PAD:-PAD].astype(np.float64)
+        self.in_bounds_mass = float(np.add.reduce(self.iwe, axis=None))
 
     def derivative_votes(self) -> tuple[np.ndarray, np.ndarray]:
         """The (n, 4) votes of ∂I/∂vx and ∂I/∂vy at ``_index``, I being the
@@ -199,7 +214,7 @@ class IweScatter:
         if self._votes is None:
             self._votes = np.empty((2,) + self._index.shape)
         d_vx, d_vy = self._votes
-        dx, dy, one_dx, one_dy = self._frac
+        dx, dy, one_dx, one_dy = self._fracs
         dts = self._dts
         # ∂x'/∂vx = -dt, so per corner ∂w/∂vx is dt·(1−dy, −(1−dy), dy, −dy)
         # and ∂w/∂vy is dt·(1−dx, dx, −(1−dx), −dx)
@@ -213,21 +228,55 @@ class IweScatter:
         np.negative(d_vy[:, 1], out=d_vy[:, 3])
         return d_vx, d_vy
 
+    def grids(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two (h, w) grids kept with the gather's buffers, for a caller's
+        per-readout images: ``objective.evaluate`` writes I − μ and its
+        square there. Each readout overwrites them."""
+        return self._buffers().grids
+
     def gather(self, image: np.ndarray) -> tuple[float, float]:
         """(Σ_p image[p]·∂I[p]/∂vx, Σ_p image[p]·∂I[p]/∂vy) over the pixels p of
         an (h, w) ``image``, I being the IWE last scattered: each event reads
         ``image`` at its stencil corners, and corners off the grid read 0."""
-        self._padded[PAD:-PAD, PAD:-PAD] = image
-        c = np.take(self._padded.ravel(), self._index, out=self._corners, mode="clip").T
+        g = self._buffers()
+        g.inside[...] = image
+        g.flat.take(self._index, out=g.corners, mode="clip")
         # ∂x'/∂vx = -dt, so ∂w/∂vx per corner is dt·(1−dy, −(1−dy), dy, −dy);
         # the rows (1−dy)(c0−c1), (1−dx)(c0−c2), dy(c2−c3), dx(c1−c3) pair
         # up into the vx and vy terms, each as one call over all four rows
-        t = self._terms
-        np.subtract(c[0::2], c[1::2], out=t[0::2])
-        np.subtract(c[:2], c[2:], out=t[1::2])
-        np.multiply(self._frac[::-1], t, out=t)
-        np.add(t[:2], t[2:], out=t[:2])
-        return float(np.dot(self._dts, t[0])), float(np.dot(self._dts, t[1]))
+        np.subtract(g.c02, g.c13, out=g.t02)
+        np.subtract(g.c01, g.c23, out=g.t13)
+        np.multiply(self._reversed, g.terms, out=g.terms)
+        np.add(g.t01, g.t23, out=g.t01)
+        dts = self._dts
+        return float(dts.dot(g.t0)), float(dts.dot(g.t1))
+
+    def _buffers(self) -> _GatherBuffers:
+        if self._gather is None:
+            self._gather = _GatherBuffers(len(self._index), self.shape)
+        return self._gather
+
+
+class _GatherBuffers:
+    """``IweScatter.gather``'s buffers for n events on a (w, h) grid, with
+    every view of them that a gather reads or writes, and the two (h, w)
+    grids of ``IweScatter.grids``."""
+
+    def __init__(self, n_events: int, shape: tuple[int, int]) -> None:
+        w, h = shape
+        # the gathered image on the padded grid; the ring stays 0, so
+        # corners that left the grid gather nothing
+        padded = np.zeros((h + 2 * PAD, w + 2 * PAD))
+        self.inside = padded[PAD:-PAD, PAD:-PAD]
+        self.flat = padded.reshape(-1)
+        self.corners = np.empty((n_events, 4))  # the take's target
+        c = self.corners.T
+        self.c02, self.c13, self.c01, self.c23 = c[0::2], c[1::2], c[:2], c[2:]
+        self.terms = np.empty((4, n_events))  # the per-event terms
+        t = self.terms
+        self.t02, self.t13, self.t01, self.t23 = t[0::2], t[1::2], t[:2], t[2:]
+        self.t0, self.t1 = t[0], t[1]
+        self.grids = (np.empty((h, w)), np.empty((h, w)))
 
 
 class _Routes:

@@ -307,21 +307,31 @@ def test_ascent_readout_matches_a_fresh_scatter(events, n, rng):
     # fresh warp scattered by a fresh IweScatter, as the accumulators vote.
     # |v| = 1e6 carries every event with |dt| > 1e-4 off the grid (all of
     # the 9500 edge events, none of which sits at dt = 0), and the later
-    # readouts find any state those left behind
+    # readouts find any state those left behind. Each step's IWE is handed
+    # out (as final_iwe is), so no later readout may write into it, and a
+    # gather of an unrelated image between readouts must not leak into the
+    # next evaluate
     batch = edge_batch(rng, n) if events == "edges" else random_interior_batch(rng, n)
     grid, warped = IweScatter(n, (64, 64)), np.empty((2, n))
+    kept = []
     for vx, vy in [(0.0, 0.0), (-0.0, -0.0), (1e6, 0.0), (0.0, -1e6), (-1e6, 1e6),
                    (0.75, -1.25), (0.0, 0.0)]:
         v = Velocity(vx, vy)
         off_grid = abs(vx) > 64 or abs(vy) > 64
+        fresh = scatter_iwe(warp_batch(batch, v), (64, 64))
         if off_grid:
             with pytest.raises(OptimizationError):
                 _read_out(grid, batch, v, 0, warped)
         else:
-            _read_out(grid, batch, v, 0, warped)
-        assert readout_bytes(grid) == readout_bytes(scatter_iwe(warp_batch(batch, v), (64, 64)))
+            row = _read_out(grid, batch, v, 0, warped)
+            assert np.array(row).tobytes() == np.array(evaluate(fresh)).tobytes()
+        grid.gather(rng.uniform(-1e3, 1e3, (64, 64)))
+        assert readout_bytes(grid) == readout_bytes(fresh)
         if events == "edges" and n > 1:
             assert (grid.in_bounds_mass == 0.0) == off_grid
+        kept.append((grid.iwe, grid.iwe.tobytes()))
+        for iwe, held in kept:
+            assert iwe.tobytes() == held
 
 
 @pytest.mark.parametrize("v_init", [Velocity(0.0, 0.0), Velocity(2.5, -1.25)],

@@ -208,6 +208,19 @@ def test_files_of_a_block_and_a_byte_either_side_match_scalar_oracle():
                 assert outcomes(data, SENSOR)[0] == expected, (name, block)
 
 
+
+def test_every_count_slice_matches_scalar_oracle():
+    # pass 1 counts each block's line breaks over slices; counts summed over
+    # slices of any size, a block's or shorter, number the lines and size
+    # the columns as a whole-block count does
+    for name, data in BLOCK_CASES.items():
+        expected = outcomes(data, SENSOR)[1]
+        for block in (48, len(data) + 1):
+            for count in (1, 2, 3, 7, block):
+                with mock.patch.object(events, "_BLOCK_BYTES", block), \
+                        mock.patch.object(events, "_COUNT_BYTES", count):
+                    assert outcomes(data, SENSOR)[0] == expected, (name, block, count)
+
 TOKENS = [
     "0", "7", "+7", "007", "0.5", ".5", "5.", "2.5e-6", "1.5E3", "-0.0",
     "abc", "1x", "--1", "1.2.3", "0x10", ".", "1e3", "+", "1\x002", "\xff7", "#",

@@ -9,6 +9,7 @@ from evcm.voting import (
     PAD,
     ROLES,
     BankedAccumulator,
+    ImageSet,
     IweScatter,
     NaiveAccumulator,
     VotingConfigError,
@@ -357,6 +358,7 @@ class TestKeptBuffers:
         windows = [(n, None), (n, 120), (m, None), (0, None), (n, 1)]
         acc = BankedAccumulator(grid)
         oracle = BankedDatapathOracle(grid)
+        earlier = []  # each readout's ImageSet, with a copy of its images
         for size, cut in windows:
             warped = edge_stream(rng, size, grid)
             bounds = [0, size] if cut is None else [0, cut, size]
@@ -374,6 +376,11 @@ class TestKeptBuffers:
             for role in ROLES:
                 assert acc.bank_occupancy(role) == oracle.bank_occupancy(role)
                 assert acc.forwarding_hits(role) == oracle.forwarding_hits(role)
+            # the kept buffers never write into an image handed out earlier
+            earlier.append((got, ImageSet(got.iwe.copy(), got.d_vx.copy(),
+                                          got.d_vy.copy(), got.in_bounds_mass)))
+            for handed_out, copied in earlier:
+                assert_imagesets_identical(handed_out, copied)
 
 
 def scalar_oracle(warped: WarpedBatch, shape) -> tuple[np.ndarray, ...]:
