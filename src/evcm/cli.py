@@ -136,7 +136,9 @@ def cmd_track(args: argparse.Namespace) -> int:
         else 0.0
     )
     print(
-        f"batches: {len(result.records)}  mean contrast: {mean_contrast:.6g}  "
+        f"batches: {len(result.records)}  "
+        f"readouts: {sum(r.readouts for r in result.records)}  "
+        f"mean contrast: {mean_contrast:.6g}  "
         f"mean events in ROI: {mean_in_roi:.1f}"
     )
     return 0

@@ -17,6 +17,14 @@ from .warp import Velocity, warp_batch
 # Each axis's first step, px per half-span: it moves the events at the batch
 # edges (|dt| = 1) by one bilinear kernel width.
 FIRST_STEP = 1.0
+# Each axis's first step from a warm start, the previous batch's estimate.
+# From a v0 within 1/4 px per half-span of the peak on both axes, a
+# FIRST_STEP ascent with first signs s reads out v0 + s and v0 + s/2, then
+# steps back exactly onto v0 (every velocity is dyadic), a table hit, and
+# then stands at v0 + s/4 with step 1/4 and last sign s. A WARM_STEP ascent
+# is in that state after its first readout, two readouts sooner, and from
+# there the two ascents and their results are the same.
+WARM_STEP = FIRST_STEP / 4
 # Once both axes' steps are below this after a step's moves (at least six
 # halvings each), both are cleared to 0: v moves less than 2^-6 px per
 # half-span per step by then, and the next readout meets the fixed-point exit.
@@ -30,7 +38,8 @@ class OptimizationError(RuntimeError):
 @dataclass(frozen=True)
 class OptimizerConfig:
     """``iterations`` ascent steps from ``v_init``. The step is not a setting:
-    each axis starts at ``FIRST_STEP`` and halves at its sign flips."""
+    each axis starts at ``FIRST_STEP`` (``WARM_STEP`` from a warm start) and
+    halves at its sign flips."""
 
     iterations: int = 100
     v_init: Velocity = field(default_factory=lambda: Velocity(0.0, 0.0))
@@ -108,6 +117,8 @@ def estimate_motion(
     batch: EventBatch,
     cfg: OptimizerConfig,
     shape: tuple[int, int],
+    *,
+    warm: bool = False,
 ) -> tuple[Velocity, OptimizationTrace]:
     """Run up to ``cfg.iterations`` ascent steps on the (w, h) ROI grid
     ``shape`` and return the final velocity.
@@ -117,7 +128,12 @@ def estimate_motion(
     constant ``FIRST_STEP`` and halves when its axis's gradient sign flips
     (Rprop's rule, Riedmiller & Braun 1993, cut down to a halving), so it
     needs no calibration to the batch and no divide: in hardware, a wired
-    constant and a shift.
+    constant and a shift. ``warm`` says that ``cfg.v_init`` is the previous
+    batch's estimate, as ``track`` passes it after its first estimate; the
+    steps then start at ``WARM_STEP``, skipping the two readouts of the
+    detour that a ``FIRST_STEP`` ascent from near the peak makes back to
+    ``v_init``. Every other start (a standing start, a ``--vx-init`` prior,
+    the first tracked batch) keeps ``FIRST_STEP``.
 
     Floor: once both steps are below ``LEAST_STEP`` after a step's moves,
     both are cleared to 0. A step that leaves v unchanged (each axis at a
@@ -152,7 +168,7 @@ def estimate_motion(
     held = None  # the key of the velocity whose IWE grid holds
 
     v = cfg.v_init
-    steps = [FIRST_STEP, FIRST_STEP]
+    steps = [WARM_STEP, WARM_STEP] if warm else [FIRST_STEP, FIRST_STEP]
     signs = [0, 0]
     records: list[IterationRecord] = []
     for it in range(cfg.iterations):

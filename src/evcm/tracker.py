@@ -62,6 +62,7 @@ class BatchRecord:
     velocity: Velocity
     contrast: float          # nan when optimization was skipped
     events_in_roi: int
+    readouts: int            # the ascent's trace.readouts; 0 when skipped
 
 
 @dataclass
@@ -100,6 +101,10 @@ def track(events: EventArray, cfg: TrackerConfig) -> TrackResult:
     ``min_roi_events`` events inside the ROI skip optimization and keep the
     previous velocity (warm start carries across batches). A trailing
     partial batch is processed only if it clears the same threshold.
+
+    Each ascent after the first estimate starts warm, from the previous
+    estimate at ``WARM_STEP``; the first optimized batch starts from
+    ``cfg.optimizer.v_init`` at ``FIRST_STEP``.
     """
     if np.any(np.diff(events.ts) < 0):
         raise ValueError("event stream must be sorted by timestamp")
@@ -110,6 +115,7 @@ def track(events: EventArray, cfg: TrackerConfig) -> TrackResult:
 
     roi = cfg.roi_init
     v = cfg.optimizer.v_init
+    warm = False  # v is an earlier batch's estimate
     records: list[BatchRecord] = []
     for start in range(0, len(events), cfg.batch_size):
         chunk = events[start : start + cfg.batch_size]
@@ -119,13 +125,14 @@ def track(events: EventArray, cfg: TrackerConfig) -> TrackResult:
         in_roi = filter_roi(batch, roi)
         n = len(in_roi)
         if n < cfg.min_roi_events:
-            contrast_val = float("nan")
+            contrast_val, readouts = float("nan"), 0
         else:
             opt_cfg = replace(cfg.optimizer, v_init=v)
-            v, trace = estimate_motion(in_roi, opt_cfg, shape=(roi.w, roi.h))
-            contrast_val = trace.final_contrast
+            v, trace = estimate_motion(in_roi, opt_cfg, shape=(roi.w, roi.h), warm=warm)
+            warm = True
+            contrast_val, readouts = trace.final_contrast, trace.readouts
             if dump_dir is not None:
                 write_pgm(trace.final_iwe, dump_dir / f"iwe_{len(records):04d}.pgm")
-        records.append(BatchRecord(roi, v, contrast_val, n))
+        records.append(BatchRecord(roi, v, contrast_val, n, readouts))
         roi = update_roi(roi, v, cfg.roi_update_scale, sensor=sensor)
     return TrackResult(records=records, final_roi=roi)

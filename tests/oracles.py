@@ -189,18 +189,24 @@ def ascent_readout(batch, v: Velocity, shape, grid: IweScatter | None = None) ->
     return grid
 
 
-def every_iteration_ascent(batch, cfg, shape):
+# The first step of an ascent from a warm start (``estimate_motion(...,
+# warm=True)``): a quarter of FIRST_STEP, written here from that rule.
+WARM_FIRST_STEP = FIRST_STEP / 4
+
+
+def every_iteration_ascent(batch, cfg, shape, first_step=FIRST_STEP):
     """``estimate_motion`` with no fixed-point exit: it reads the IWE out
     (an ``ascent_readout``) at every one of the ``cfg.iterations`` steps and
     once more at the velocity it returns, the last readout giving
     ``final_iwe`` and, through the bare-grid ``contrast``,
-    ``final_contrast``. Once both steps are below ``LEAST_STEP`` after a
-    step's moves, both stay 0 and every later readout is at the same
-    velocity."""
+    ``final_contrast``. Each axis's step starts at ``first_step``
+    (``WARM_FIRST_STEP`` for a warm start). Once both steps are below
+    ``LEAST_STEP`` after a step's moves, both stay 0 and every later readout
+    is at the same velocity."""
     grid = IweScatter(len(batch), shape)
     w, h = shape
     v = cfg.v_init
-    steps = [FIRST_STEP, FIRST_STEP]
+    steps = [first_step, first_step]
     signs = [0, 0]
     records = []
     for it in range(cfg.iterations + 1):

@@ -10,6 +10,7 @@ from evcm.cli import main
 from evcm.events import Roi, filter_roi, make_batch, parse_events
 from evcm.optimizer import OptimizerConfig
 from evcm.synth import SceneConfig
+from evcm.tracker import TrackerConfig, track
 from evcm.warp import Velocity
 
 from oracles import every_iteration_ascent
@@ -197,7 +198,12 @@ class TestTrackCommand:
         assert lines[0] == "batch,x_roi,y_roi,vx,vy,contrast,events_in_roi"
         assert len(lines) == 4  # header + 3 batches
         assert (out / "iwe_0000.pgm").exists()
-        assert "batches: 3" in capsys.readouterr().out
+        # the summary counts every batch's readouts, as track() records them
+        res = track(parse_events(fixture_events, (240, 180)),
+                    TrackerConfig(batch_size=2000, roi_init=Roi(18, 68, 64, 64),
+                                  roi_update_scale=2.0))
+        readouts = sum(r.readouts for r in res.records)
+        assert f"batches: 3  readouts: {readouts}  " in capsys.readouterr().out
 
     def test_missing_input_fails_with_message(self, tmp_path, capsys):
         rc = main(["track", "--input", str(tmp_path / "nope.txt")])

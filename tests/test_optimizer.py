@@ -9,7 +9,7 @@ import pytest
 from evcm.events import make_batch
 from evcm.objective import contrast, evaluate
 from evcm.optimizer import (
-    LEAST_STEP, OptimizationError, OptimizerConfig, _read_out, estimate_motion,
+    FIRST_STEP, LEAST_STEP, OptimizationError, OptimizerConfig, _read_out, estimate_motion,
 )
 from evcm.synth import SceneConfig, generate_scene
 from evcm.voting import BankedAccumulator, IweScatter
@@ -17,7 +17,8 @@ from evcm.warp import Velocity, warp_batch
 
 from conftest import accumulate_images, event_array, random_interior_batch, scatter_iwe
 from oracles import (
-    ascent_readout, ascent_warp, contrast_gradient_scalar, every_iteration_ascent,
+    WARM_FIRST_STEP, ascent_readout, ascent_warp, contrast_gradient_scalar,
+    every_iteration_ascent,
 )
 
 
@@ -373,6 +374,21 @@ def revisit_scene(n):
     return small_scene_batch((-3.29, 3.33), 4201, n, noise=0.05)
 
 
+# case -> (batch, config) of ascents that start warm, at WARM_STEP: at the
+# scene's truth, where a FIRST_STEP ascent would detour back to v_init, 2 px
+# per half-span off it on both axes, and capped at 3 steps
+WARM_EXIT_CASES = {
+    "warm-at-truth": lambda: (small_scene_batch(),
+                              OptimizerConfig(v_init=Velocity(2.0, -1.5))),
+    "warm-n9500-at-truth": lambda: (small_scene_batch((0.8, 4.2), 4103, 9500, noise=0.05),
+                                    OptimizerConfig(v_init=Velocity(0.75, 4.25))),
+    "warm-2px-off": lambda: (small_scene_batch(),
+                             OptimizerConfig(v_init=Velocity(4.0, -3.5))),
+    "warm-T3": lambda: (small_scene_batch(),
+                        OptimizerConfig(iterations=3, v_init=Velocity(2.0, -1.5))),
+}
+
+
 # case -> (batch, config); the scene velocities and seeds were fixed before
 # the test first ran, not chosen by its outcome
 EXIT_CASES = {
@@ -393,6 +409,7 @@ EXIT_CASES = {
     **{f"revisit-cap{cap}": (lambda cap=cap: (revisit_scene(9500),
                                               OptimizerConfig(iterations=cap)))
        for cap in range(1, 20)},
+    **WARM_EXIT_CASES,
 }
 
 
@@ -400,11 +417,14 @@ EXIT_CASES = {
 def test_fixed_point_exit_matches_every_iteration_ascent(case, readouts):
     # stopping the readouts at a fixed point changes no output: the trace,
     # the returned velocity (signed zeros too) and the final IWE are those
-    # of the ascent that reads out at all T + 1 velocities
+    # of the ascent that reads out at all T + 1 velocities, from the same
+    # first step
     batch, cfg = EXIT_CASES[case]()
-    v, trace = estimate_motion(batch, cfg, shape=(64, 64))
+    warm = case in WARM_EXIT_CASES
+    v, trace = estimate_motion(batch, cfg, shape=(64, 64), warm=warm)
     reads = readouts()
-    v_ref, ref = every_iteration_ascent(batch, cfg, shape=(64, 64))
+    v_ref, ref = every_iteration_ascent(
+        batch, cfg, shape=(64, 64), first_step=WARM_FIRST_STEP if warm else FIRST_STEP)
     assert trace.to_csv() == ref.to_csv()
     assert repr(v) == repr(v_ref)
     assert trace.final_iwe.tobytes() == ref.final_iwe.tobytes()
