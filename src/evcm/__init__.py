@@ -11,28 +11,24 @@ from .events import (
     parse_events,
 )
 from .warp import Velocity, WarpedBatch, warp_batch
-from .voting import (
+from .voting import IweScatter, VotingConfigError, write_pgm
+from .datapath import (
+    REFERENCE_TIMES,
     BankedAccumulator,
+    CycleParams,
     ImageSet,
-    IweScatter,
     NaiveAccumulator,
-    VotingConfigError,
-    write_pgm,
+    batch_time,
+    cycles_per_batch,
+    speedup_report,
 )
-from .objective import contrast, evaluate
+from .objective import evaluate
 from .optimizer import (
     OptimizationTrace,
     OptimizerConfig,
     estimate_motion,
 )
 from .tracker import BatchRecord, TrackResult, TrackerConfig, track, update_roi
-from .cyclemodel import (
-    CycleParams,
-    REFERENCE_TIMES,
-    batch_time,
-    cycles_per_batch,
-    speedup_report,
-)
 from .synth import SceneConfig, SyntheticScene, generate_scene
 
 __version__ = "0.1.0"

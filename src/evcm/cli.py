@@ -8,18 +8,18 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .cyclemodel import (
+from .datapath import (
     DEFAULT_CLOCK_HZ,
     CycleParams,
     batch_time,
-    cycles_per_batch,
+    check_bank_grid,
     speedup_report,
 )
 from .events import EventArray, Roi, filter_roi, make_batch, parse_events
 from .optimizer import OptimizationError, OptimizerConfig, estimate_motion
 from .synth import SceneConfig, generate_scene
 from .tracker import TrackerConfig, track
-from .voting import check_bank_grid, write_pgm
+from .voting import write_pgm
 from .warp import Velocity
 
 

@@ -10,36 +10,19 @@ import numpy as np
 from .voting import IweScatter
 
 
-def _variance(centred: np.ndarray, out: np.ndarray | None = None) -> float:
-    """Σ (I − μ)²/P of the centred image, its square written into ``out``
-    when one is given; numpy's pairwise summation over the contiguous square
-    keeps the reduction reproducible."""
-    squared = np.multiply(centred, centred, out=out)
-    return float(np.add.reduce(squared, axis=None)) / squared.size
-
-
-def contrast(iwe: np.ndarray) -> tuple[float, float]:
-    """Population variance and mean of the accumulated image.
-
-    The divisor is the full pixel count, including pixels that received no
-    votes.
-    """
-    if iwe.size == 0:
-        raise ValueError("contrast of an empty grid is undefined")
-    mu = float(iwe.sum()) / iwe.size
-    return _variance(iwe - mu), mu
-
-
 def evaluate(s: IweScatter) -> tuple[float, float, float]:
     """Contrast and its (vx, vy) gradient at the IWE ``s`` last scattered.
-    μ is its ``in_bounds_mass`` over P, the same sum ``contrast`` takes, and
+    μ is its ``in_bounds_mass`` over P, the pairwise sum of the IWE, and
     I − μ is formed once for the variance and the gather. I − μ and its
     square are written into the two grids ``s`` keeps with its gather
     buffers, so a readout makes no grid-sized temporary: at the paper's
     operating point (~800 events on 64x64) per-call set-up, not arithmetic,
-    is most of a readout."""
+    is most of a readout. numpy's pairwise summation over the contiguous
+    square keeps the variance reproducible."""
     centred, squared = s.grids()
     np.subtract(s.iwe, s.in_bounds_mass / s.iwe.size, out=centred)
     g_vx, g_vy = s.gather(centred)
+    np.multiply(centred, centred, out=squared)
+    variance = float(np.add.reduce(squared, axis=None)) / squared.size
     scale = 2.0 / s.iwe.size
-    return _variance(centred, squared), scale * g_vx, scale * g_vy
+    return variance, scale * g_vx, scale * g_vy

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from evcm.datapath import ImageSet, NaiveAccumulator
 from evcm.events import EventArray, EventBatch, make_batch, parse_events
 from evcm.objective import evaluate
-from evcm.voting import ImageSet, IweScatter, NaiveAccumulator
+from evcm.voting import IweScatter
 from evcm.warp import WarpedBatch
 
 # On CI every hypothesis test draws the same examples on every run, with no

@@ -16,13 +16,14 @@ from typing import Iterator
 
 import numpy as np
 
+from evcm.datapath import PIPELINE_DEPTH, ROLES, ImageSet
 from evcm.events import EventParseError, EventValidationError
-from evcm.objective import contrast, evaluate
+from evcm.objective import evaluate
 from evcm.optimizer import (
     FIRST_STEP, LEAST_STEP, IterationRecord, OptimizationError, OptimizationTrace,
 )
 from evcm.synth import SceneConfig, SyntheticScene, _sample_offsets
-from evcm.voting import PIPELINE_DEPTH, ROLES, ImageSet, IweScatter
+from evcm.voting import IweScatter
 from evcm.warp import Velocity, WarpedBatch
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -134,6 +135,18 @@ def bilinear_votes(we: WarpedEvent, shape: tuple[int, int]) -> list[VoteContribu
         if 0 <= ci < w_dim and 0 <= cj < h_dim:
             out.append(VoteContribution((ci, cj), w, ndt * dw_ddx, ndt * dw_ddy))
     return out
+
+
+def contrast(iwe: np.ndarray) -> tuple[float, float]:
+    """Population variance C = Σ (I − μ)²/P and mean μ = Σ I/P of an image
+    I over all its P pixels, voted or not. Both sums are numpy's pairwise
+    sum over a contiguous grid, the one ``objective.evaluate`` takes, so the
+    variance of a readout's IWE is its contrast bit for bit."""
+    if iwe.size == 0:
+        raise ValueError("contrast of an empty grid is undefined")
+    mu = float(iwe.sum()) / iwe.size
+    centred = iwe - mu
+    return float((centred * centred).sum()) / iwe.size, mu
 
 
 def contrast_gradient_scalar(imgs) -> tuple[float, float, float]:

@@ -13,17 +13,19 @@ import numpy as np
 import pytest
 
 from evcm.cli import main
-from evcm.cyclemodel import REFERENCE_TIMES, CycleParams, batch_time, cycles_per_batch
+from evcm.datapath import (
+    REFERENCE_TIMES, BankedAccumulator, CycleParams, batch_time, cycles_per_batch,
+)
 from evcm.events import Roi, make_batch
-from evcm.objective import contrast, evaluate
+from evcm.objective import evaluate
 from evcm.optimizer import OptimizerConfig, estimate_motion
 from evcm.synth import SceneConfig, generate_scene
 from evcm.tracker import TrackerConfig, track
-from evcm.voting import BankedAccumulator, IweScatter
+from evcm.voting import IweScatter
 from evcm.warp import Velocity, WarpedBatch, warp_batch
 
 from conftest import accumulate_images, batch_from_arrays, random_interior_batch, scatter_iwe
-from oracles import BankedDatapathOracle, ascent_readout, contrast_gradient_scalar
+from oracles import BankedDatapathOracle, ascent_readout, contrast, contrast_gradient_scalar
 from test_objective import fd_gradient, probe_is_smooth
 
 # ---------------------------------------------------------------------------

@@ -522,7 +522,7 @@ class TestCyclesCommand:
 
     @pytest.mark.parametrize("flag", ["--readout-latency", "--voting-latency"])
     def test_latencies_are_not_flags(self, flag, capsys):
-        # the pipeline latencies are the cyclemodel constants
+        # the pipeline latencies are constants of the datapath model
         with pytest.raises(SystemExit) as exc:
             main(["cycles", flag, "5"])
         assert exc.value.code == 2

@@ -5,15 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from evcm.cyclemodel import (
+from evcm.datapath import (
+    PIPELINE_DEPTH,
     REFERENCE_TIMES,
+    ROLES,
+    BankedAccumulator,
     CycleParams,
     batch_time,
     cycles_per_batch,
     speedup_report,
 )
 from evcm.optimizer import OptimizerConfig, estimate_motion
-from evcm.voting import PIPELINE_DEPTH, ROLES, BankedAccumulator
 from evcm.warp import Velocity, WarpedBatch, warp_batch
 
 from conftest import random_interior_batch

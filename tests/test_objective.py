@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from evcm.objective import contrast, evaluate
+from evcm.objective import evaluate
 from evcm.warp import Velocity, WarpedBatch, warp_batch
 
 from conftest import accumulate_images, random_interior_batch, scatter_iwe
-from oracles import contrast_gradient_scalar
+from oracles import contrast, contrast_gradient_scalar
 
 
 def warped_on_pixels(rng, grid):

@@ -6,18 +6,19 @@ import resource
 import numpy as np
 import pytest
 
+from evcm.datapath import BankedAccumulator
 from evcm.events import make_batch
-from evcm.objective import contrast, evaluate
+from evcm.objective import evaluate
 from evcm.optimizer import (
     FIRST_STEP, LEAST_STEP, OptimizationError, OptimizerConfig, _read_out, estimate_motion,
 )
 from evcm.synth import SceneConfig, generate_scene
-from evcm.voting import BankedAccumulator, IweScatter
+from evcm.voting import IweScatter
 from evcm.warp import Velocity, warp_batch
 
 from conftest import accumulate_images, event_array, random_interior_batch, scatter_iwe
 from oracles import (
-    WARM_FIRST_STEP, ascent_readout, ascent_warp, contrast_gradient_scalar,
+    WARM_FIRST_STEP, ascent_readout, ascent_warp, contrast, contrast_gradient_scalar,
     every_iteration_ascent,
 )
 

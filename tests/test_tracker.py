@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from evcm.events import Roi, filter_roi, make_batch
-from evcm.objective import contrast
 from evcm.optimizer import WARM_STEP, OptimizerConfig, estimate_motion
 from evcm.synth import SceneConfig, generate_scene
 from evcm.tracker import TrackerConfig, track, update_roi
 from evcm.warp import Velocity
 
 from conftest import event_array
-from oracles import ascent_readout
+from oracles import ascent_readout, contrast
 
 
 class TestUpdateRoi:

@@ -5,17 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evcm.voting import (
-    PAD,
-    ROLES,
-    BankedAccumulator,
-    ImageSet,
-    IweScatter,
-    NaiveAccumulator,
-    VotingConfigError,
-    _image,
-    write_pgm,
-)
+from evcm.datapath import ROLES, BankedAccumulator, ImageSet, NaiveAccumulator, _image
+from evcm.voting import PAD, IweScatter, VotingConfigError, write_pgm
 from evcm.warp import Velocity, WarpedBatch, warp_batch
 
 from conftest import accumulate_images, random_interior_batch, scatter_iwe
