@@ -10,7 +10,7 @@ the reference host times. The estimator's kernel, ``IweScatter``, lives in
   the batches of every ``accumulate`` call since the last readout. At
   ``read_and_clear`` they vote its blocks, concatenated into one (a window
   of one call is voted as it is), through one ``IweScatter``, whose
-  derivative votes give the other two images. ``np.bincount`` adds each
+  ``image`` of its derivative votes gives the other two images. ``np.bincount`` adds each
   pixel's votes in stream order, so every pixel is the same sequential sum
   however a window was cut into calls.
 * ``BankedAccumulator`` models the hardware datapath: 12 memory banks
@@ -85,16 +85,6 @@ def check_bank_grid(shape: tuple[int, int]) -> None:
         raise VotingConfigError(
             f"banked accumulator needs even grid dimensions, got {w}x{h}"
         )
-
-
-def _image(index: np.ndarray, values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """The (h, w) image of ``values`` voted at the padded-grid ``index``:
-    one ``bincount``, which adds each pixel's votes in stream order."""
-    w, h = shape
-    ph, pw = h + 2 * PAD, w + 2 * PAD
-    padded = np.bincount(index.ravel(), values.ravel(), minlength=ph * pw)
-    # astype copies, and keeps float64 where an empty stream counts ints
-    return padded.reshape(ph, pw)[PAD:-PAD, PAD:-PAD].astype(np.float64)
 
 
 class _Routes:
@@ -210,8 +200,7 @@ class _Accumulator:
         d_vx, d_vy = s.derivative_votes()
         self._drain(s, d_vx, d_vy)
         self._window = []
-        return ImageSet(iwe=s.iwe, d_vx=_image(s._index, d_vx, self.shape),
-                        d_vy=_image(s._index, d_vy, self.shape),
+        return ImageSet(iwe=s.iwe, d_vx=s.image(d_vx), d_vy=s.image(d_vy),
                         in_bounds_mass=s.in_bounds_mass)
 
     def _drain(self, s: IweScatter, d_vx: np.ndarray, d_vy: np.ndarray) -> None:

@@ -14,11 +14,11 @@ def evaluate(s: IweScatter) -> tuple[float, float, float]:
     """Contrast and its (vx, vy) gradient at the IWE ``s`` last scattered.
     μ is its ``in_bounds_mass`` over P, the pairwise sum of the IWE, and
     I − μ is formed once for the variance and the gather. I − μ and its
-    square are written into the two grids ``s`` keeps with its gather
-    buffers, so a readout makes no grid-sized temporary: at the paper's
-    operating point (~800 events on 64x64) per-call set-up, not arithmetic,
-    is most of a readout. numpy's pairwise summation over the contiguous
-    square keeps the variance reproducible."""
+    square are written into the two grids ``s`` keeps, so a readout makes
+    no grid-sized temporary: at the paper's operating point (~800 events on
+    64x64) per-call set-up, not arithmetic, is most of a readout. numpy's
+    pairwise summation over the contiguous square keeps the variance
+    reproducible."""
     centred, squared = s.grids()
     np.subtract(s.iwe, s.in_bounds_mass / s.iwe.size, out=centred)
     g_vx, g_vy = s.gather(centred)

@@ -2,16 +2,16 @@
 serves the accumulators of the datapath model (``datapath``).
 
 This module owns the stencil and the bilinear derivative rule: ``PAD``,
-``IweScatter`` with its gather buffers, the grid check and PGM export.
-Each warped event spreads over its four neighboring pixels with bilinear
-weights, and each image is one ``np.bincount`` of votes. ``IweScatter``
-votes a batch once and keeps its stencil: it holds the IWE, ``gather``
-reads any image against the weights' velocity derivatives, and
+``IweScatter`` with its buffers, the grid check and PGM export. Each warped
+event spreads over its four neighboring pixels with bilinear weights, and
+every image is one ``IweScatter.image``: one ``np.bincount`` of votes.
+``IweScatter`` votes a batch once and keeps its stencil: it holds the IWE,
+``gather`` reads any image against the weights' velocity derivatives, and
 ``derivative_votes`` gives those derivatives as votes. A warped batch is
 one (2, n) block of x' and y' rows, and each stencil step (floor, fraction,
 complement, clamp) is one call over both rows. The estimator scatters the
 IWE of each readout and gathers its gradient; the accumulators scatter a
-readout window and sum its derivative votes.
+readout window and image its derivative votes.
 
 ``np.bincount`` adds each pixel's votes one at a time in stream order, so
 every pixel is the same sequential sum wherever it is voted. Off-grid
@@ -23,15 +23,15 @@ arithmetic, so ``IweScatter`` keeps its buffers for the whole ascent, and
 the estimator warps into one kept block. At the paper's operating point
 (~800 events on 64x64) most of a readout is per-call set-up, so the scatter
 also builds once every view a readout touches: the weight columns, the flat
-index and weights that ``bincount`` reads, the floors' transpose for the
-index product, the fraction rows and their reverse, and the gather's padded
-interior, flat grid, corner and term rows. Only ``iwe`` is new on every
-scatter, as the estimator's ``final_iwe`` and every ``ImageSet`` hold it.
-The gather's buffers, with the two (h, w) grids of ``grids``, are made at
-the first ``gather`` and the derivative votes' buffers at the first
-``derivative_votes``: the estimator never makes the latter, and the
-accumulators, which keep their ``IweScatter`` while their windows' event
-count repeats, never the former.
+index that ``bincount`` reads, the floors' transpose for the index product,
+the fraction rows and their reverse, and the gather's padded interior, flat
+grid, corner and term rows. The constructor makes every buffer the kernel
+uses, as the hardware's memories are fixed when it is built: the
+estimator's gather buffers and two (h, w) grids of ``grids``, and the
+accumulators' derivative votes. A buffer its client never writes is never
+touched, so its pages are never faulted in. Only the images are new on
+every call, as the estimator's ``final_iwe`` and every ``ImageSet`` hold
+them.
 """
 
 from __future__ import annotations
@@ -73,12 +73,12 @@ class IweScatter:
     """One batch's votes: the IWE, scattered by one ``bincount`` per call,
     and at the kept stencil any image gathered and the derivative votes.
 
-    The stencil buffers of a batch of ``n_events`` events, and every view
-    of them that a readout reads or writes, are made once, here, and reused
-    by every readout; the gather's buffers are made at the first ``gather``.
-    After ``scatter``, ``iwe`` is the (h, w) image of warped events and
-    ``in_bounds_mass`` its sum; each ``scatter`` makes a new ``iwe``, so an
-    image handed out earlier is never overwritten.
+    Every buffer of a batch of ``n_events`` events, the stencil's, the
+    gather's, the derivative votes' and the two ``grids``, and every view
+    of them that a readout reads or writes, is made once, here, and reused
+    by every readout. After ``scatter``, ``iwe`` is the (h, w) image of
+    warped events and ``in_bounds_mass`` its sum; each ``scatter`` makes a
+    new ``iwe``, so an image handed out earlier is never overwritten.
     """
 
     def __init__(self, n_events: int, shape: tuple[int, int]) -> None:
@@ -91,7 +91,7 @@ class IweScatter:
         self._words = (h + 2 * PAD) * pw
         self._index = np.empty((n_events, 4), dtype=np.intp)
         self._weight = np.empty((n_events, 4))
-        self._flat = (self._index.reshape(-1), self._weight.reshape(-1))
+        self._flat_index = self._index.reshape(-1)
         self._columns = tuple(self._weight.T)
         # rows dx, dy, 1 - dx, 1 - dy and ones; while the index is built,
         # rows 2-4 hold each event's (i, j, 1): its floors and a 1
@@ -107,8 +107,20 @@ class IweScatter:
         self._to_index = np.array(((1.0,) * 4, (pw,) * 4,
                                    (base, base + 1, base + pw, base + pw + 1)))
         self._top = np.array(((w,), (h,)), dtype=np.float64)  # the floors' upper clamp
-        self._gather = None  # the gather's _GatherBuffers, made on first use
-        self._votes = None  # derivative_votes' (2, n, 4) buffer, made on first use
+        # the gathered image on the padded grid; the ring stays 0, so
+        # corners that left the grid gather nothing
+        padded = np.zeros(self._padded_shape)
+        self._inside = padded[PAD:-PAD, PAD:-PAD]
+        self._padded = padded.reshape(-1)
+        self._corners = np.empty((n_events, 4))  # the take's target
+        c = self._corners.T
+        self._c02, self._c13, self._c01, self._c23 = c[0::2], c[1::2], c[:2], c[2:]
+        self._terms = np.empty((4, n_events))  # the per-event terms
+        t = self._terms
+        self._t02, self._t13, self._t01, self._t23 = t[0::2], t[1::2], t[:2], t[2:]
+        self._t0, self._t1 = t[0], t[1]
+        self._grids = (np.empty((h, w)), np.empty((h, w)))
+        self._votes = np.empty((2, n_events, 4))  # derivative_votes' buffer
 
     def scatter(self, warped: WarpedBatch) -> None:
         """Build the bilinear stencil of ``warped`` and sum its IWE.
@@ -134,7 +146,10 @@ class IweScatter:
         np.floor(xy, out=floor)
         np.subtract(xy, floor, out=self._offset)
         np.fmax(np.fmin(floor, self._top, out=floor), -PAD, out=floor)
-        np.matmul(self._floors, self._to_index, out=self._index, casting="unsafe")
+        # matmul into the weights, which are written next, then cast: a
+        # matmul straight into the int index makes an (n, 4) temporary
+        np.matmul(self._floors, self._to_index, out=self._weight)
+        np.copyto(self._index, self._weight, casting="unsafe")
         np.subtract(1.0, self._offset, out=floor)
         dx, dy, one_dx, one_dy = self._fracs
         w0, w1, w2, w3 = self._columns
@@ -142,18 +157,23 @@ class IweScatter:
         np.multiply(dx, one_dy, out=w1)
         np.multiply(one_dx, dy, out=w2)
         np.multiply(dx, dy, out=w3)
-        # one bincount on the kept flat views; astype makes a new iwe each time
-        padded = np.bincount(*self._flat, minlength=self._words)
-        self.iwe = padded.reshape(self._padded_shape)[PAD:-PAD, PAD:-PAD].astype(np.float64)
+        self.iwe = self.image(self._weight)
         self.in_bounds_mass = float(np.add.reduce(self.iwe, axis=None))
+
+    def image(self, votes: np.ndarray) -> np.ndarray:
+        """The (h, w) image of the (n, 4) ``votes`` at the stencil last
+        scattered: one ``bincount`` on the padded grid, which adds each
+        pixel's votes in stream order, cropped to the grid. The image is
+        new on every call, float64 also when n is 0."""
+        padded = np.bincount(self._flat_index, votes.reshape(-1), minlength=self._words)
+        return padded.reshape(self._padded_shape)[PAD:-PAD, PAD:-PAD].astype(np.float64)
 
     def derivative_votes(self) -> tuple[np.ndarray, np.ndarray]:
         """The (n, 4) votes of ∂I/∂vx and ∂I/∂vy at ``_index``, I being the
         IWE last scattered: the scatter form of ∂w/∂v, whose transpose is
-        ``gather``. The two arrays are buffers kept by the scatter, made at
-        the first call, and the next call overwrites them."""
-        if self._votes is None:
-            self._votes = np.empty((2,) + self._index.shape)
+        ``gather``; ``image`` sums them into derivative images. The two
+        arrays are buffers the scatter keeps, and the next call overwrites
+        them."""
         d_vx, d_vy = self._votes
         dx, dy, one_dx, one_dy = self._fracs
         dts = self._dts
@@ -170,51 +190,23 @@ class IweScatter:
         return d_vx, d_vy
 
     def grids(self) -> tuple[np.ndarray, np.ndarray]:
-        """Two (h, w) grids kept with the gather's buffers, for a caller's
-        per-readout images: ``objective.evaluate`` writes I − μ and its
-        square there. Each readout overwrites them."""
-        return self._buffers().grids
+        """Two (h, w) grids kept by the scatter, for a caller's per-readout
+        images: ``objective.evaluate`` writes I − μ and its square there.
+        Each readout overwrites them."""
+        return self._grids
 
     def gather(self, image: np.ndarray) -> tuple[float, float]:
         """(Σ_p image[p]·∂I[p]/∂vx, Σ_p image[p]·∂I[p]/∂vy) over the pixels p of
         an (h, w) ``image``, I being the IWE last scattered: each event reads
         ``image`` at its stencil corners, and corners off the grid read 0."""
-        g = self._buffers()
-        g.inside[...] = image
-        g.flat.take(self._index, out=g.corners, mode="clip")
+        self._inside[...] = image
+        self._padded.take(self._index, out=self._corners, mode="clip")
         # ∂x'/∂vx = -dt, so ∂w/∂vx per corner is dt·(1−dy, −(1−dy), dy, −dy);
         # the rows (1−dy)(c0−c1), (1−dx)(c0−c2), dy(c2−c3), dx(c1−c3) pair
         # up into the vx and vy terms, each as one call over all four rows
-        np.subtract(g.c02, g.c13, out=g.t02)
-        np.subtract(g.c01, g.c23, out=g.t13)
-        np.multiply(self._reversed, g.terms, out=g.terms)
-        np.add(g.t01, g.t23, out=g.t01)
+        np.subtract(self._c02, self._c13, out=self._t02)
+        np.subtract(self._c01, self._c23, out=self._t13)
+        np.multiply(self._reversed, self._terms, out=self._terms)
+        np.add(self._t01, self._t23, out=self._t01)
         dts = self._dts
-        return float(dts.dot(g.t0)), float(dts.dot(g.t1))
-
-    def _buffers(self) -> _GatherBuffers:
-        if self._gather is None:
-            self._gather = _GatherBuffers(len(self._index), self.shape)
-        return self._gather
-
-
-class _GatherBuffers:
-    """``IweScatter.gather``'s buffers for n events on a (w, h) grid, with
-    every view of them that a gather reads or writes, and the two (h, w)
-    grids of ``IweScatter.grids``."""
-
-    def __init__(self, n_events: int, shape: tuple[int, int]) -> None:
-        w, h = shape
-        # the gathered image on the padded grid; the ring stays 0, so
-        # corners that left the grid gather nothing
-        padded = np.zeros((h + 2 * PAD, w + 2 * PAD))
-        self.inside = padded[PAD:-PAD, PAD:-PAD]
-        self.flat = padded.reshape(-1)
-        self.corners = np.empty((n_events, 4))  # the take's target
-        c = self.corners.T
-        self.c02, self.c13, self.c01, self.c23 = c[0::2], c[1::2], c[:2], c[2:]
-        self.terms = np.empty((4, n_events))  # the per-event terms
-        t = self.terms
-        self.t02, self.t13, self.t01, self.t23 = t[0::2], t[1::2], t[:2], t[2:]
-        self.t0, self.t1 = t[0], t[1]
-        self.grids = (np.empty((h, w)), np.empty((h, w)))
+        return float(dts.dot(self._t0)), float(dts.dot(self._t1))

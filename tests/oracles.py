@@ -177,6 +177,22 @@ def gather_scalar(warped, image, shape) -> tuple[float, float]:
             math.fsum(g * dwy for g, _, dwy in terms))
 
 
+def votes_image_scalar(warped, votes, shape) -> np.ndarray:
+    """The (h, w) image of arbitrary (n, 4) ``votes`` at the stencils of a
+    ``WarpedBatch``: vote c of each event is added, in (event, corner) order
+    with Python floats, to corner c of its stencil, (i, j), (i+1, j),
+    (i, j+1), (i+1, j+1) from its floor (i, j). Corners off the grid are
+    dropped."""
+    w, h = shape
+    out = [[0.0] * w for _ in range(h)]
+    for we, row in zip(warped_events(warped), votes.tolist()):
+        i, j = math.floor(we.xw), math.floor(we.yw)
+        for (ci, cj), vote in zip(((i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)), row):
+            if 0 <= ci < w and 0 <= cj < h:
+                out[cj][ci] += vote
+    return np.array(out, dtype=np.float64)
+
+
 def ascent_xy(batch) -> np.ndarray:
     """The (2, n) float64 block of x and y rows that an ascent on ``batch``
     warps from: the batch's integer coordinates."""

@@ -1,17 +1,21 @@
 """Bilinear voting, naive accumulation and the banked hardware emulation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evcm.datapath import ROLES, BankedAccumulator, ImageSet, NaiveAccumulator, _image
+from evcm.datapath import ROLES, BankedAccumulator, ImageSet, NaiveAccumulator
+from evcm.objective import evaluate
 from evcm.voting import PAD, IweScatter, VotingConfigError, write_pgm
 from evcm.warp import Velocity, WarpedBatch, warp_batch
 
 from conftest import accumulate_images, random_interior_batch, scatter_iwe
 from oracles import (
-    BankedDatapathOracle, WarpedEvent, bilinear_votes, gather_scalar, warped_events,
+    BankedDatapathOracle, WarpedEvent, bilinear_votes, gather_scalar, votes_image_scalar,
+    warped_events,
 )
 
 
@@ -484,7 +488,7 @@ class TestGather:
         """Σ_p image[p]·D[p], D being the images of ``derivative_votes``,
         matches ``gather(image)`` and the scalar oracle."""
         grid = scatter_iwe(warped, shape)
-        dotted = [float(np.sum(image * _image(grid._index, votes, shape)))
+        dotted = [float(np.sum(image * grid.image(votes)))
                   for votes in grid.derivative_votes()]
         want, sizes = self.oracle(warped, image, shape)
         for axis, (d, g, o, size) in enumerate(zip(dotted, grid.gather(image), want, sizes)):
@@ -545,6 +549,75 @@ class TestGather:
         shape = (16, 12)
         grid = scatter_iwe(edge_stream(rng, 500, shape), shape)
         assert grid.gather(np.zeros(shape[::-1])) == (0.0, 0.0)
+
+
+class TestImage:
+    """``IweScatter.image`` of arbitrary (n, 4) votes against the per-pixel
+    sum of ``votes_image_scalar``, bit for bit: both add each pixel's votes
+    in (event, corner) order."""
+
+    @pytest.mark.parametrize("shape", [(7, 5), (16, 12)])
+    def test_votes_inside_in_the_ring_and_far_off(self, rng, shape):
+        w, h = shape
+        n = 600
+        where = rng.integers(0, 3, (2, n))
+        inside = rng.uniform(0, (w - 1, h - 1), (n, 2)).T
+        # the padding ring: floors of -2 and -1, and of w - 1 and w
+        ring = np.where(rng.random((2, n)) < 0.5, rng.uniform(-PAD, 0, (2, n)),
+                        rng.uniform(0, PAD, (2, n)) + ((w - 1,), (h - 1,)))
+        far = rng.choice((-1e9, -3e5, 4e5, 2e12), (2, n)) + rng.random((2, n))
+        xy = np.choose(where, (inside, ring, far))
+        warped = WarpedBatch(xy, rng.uniform(-1, 1, n))
+        grid = scatter_iwe(warped, shape)
+        votes = rng.normal(0.0, 3.0, (n, 4))
+        got = grid.image(votes)
+        assert got.dtype == np.float64 and got.shape == (h, w)
+        assert np.array_equal(got, votes_image_scalar(warped, votes, shape))
+
+    def test_no_events_image_float64_zeros(self):
+        grid = scatter_iwe(wbatch([], [], []), (8, 6))
+        got = grid.image(np.empty((0, 4)))
+        assert got.dtype == np.float64 and got.shape == (6, 8)
+        assert not got.any()
+
+    def test_each_call_returns_a_new_image(self, rng):
+        shape = (16, 12)
+        grid = scatter_iwe(random_warped(rng, 200, shape), shape)
+        votes = rng.normal(0.0, 1.0, (2, 200, 4))
+        first = grid.image(votes[0])
+        kept = first.copy()
+        second = grid.image(votes[1])
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+
+
+class TestReadoutAllocation:
+    def test_a_readout_allocates_nothing_sized_by_n(self, rng):
+        """A warm readout, warp into a kept block, scatter and evaluate,
+        allocates less than one float row of the batch: what it makes is
+        sized by the grid, the padded ``bincount`` and the new ``iwe``."""
+        shape = (64, 64)
+        n = 50_000
+        w, h = shape
+        grid_bytes = 8 * ((w + 2 * PAD) * (h + 2 * PAD) + w * h)
+        assert grid_bytes < 8 * n  # so one float row would not pass unseen
+        batch = random_interior_batch(rng, n, shape)
+        grid = IweScatter(n, shape)
+        kept = np.empty((2, n))
+
+        def readout(v):
+            grid.scatter(warp_batch(batch, v, out=kept))
+            return evaluate(grid)
+
+        readout(Velocity(1.5, -2.0))  # the warm readout
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            readout(Velocity(-0.5, 3.0))
+            growth = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert growth < 8 * n, growth
 
 
 class TestPgmExport:
