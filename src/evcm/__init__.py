@@ -24,6 +24,7 @@ from .datapath import (
 )
 from .objective import evaluate
 from .optimizer import (
+    OptimizationError,
     OptimizationTrace,
     OptimizerConfig,
     estimate_motion,

@@ -132,12 +132,11 @@ def _routes(shape: tuple[int, int]) -> _Routes:
     return _Routes(shape)
 
 
-def _hazards(routes: _Routes, s: IweScatter, d_vx: np.ndarray,
-             d_vy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _hazards(routes: _Routes, s: IweScatter) -> tuple[np.ndarray, np.ndarray]:
     """The issued updates and the forwarding hits per bank key (role * 4 +
-    parity bank), each (12,), of one readout window's votes, scattered by
-    ``s`` with derivative votes ``d_vx``, ``d_vy``; the window starts with
-    the pipelines drained.
+    parity bank), each (12,), of one readout window's votes: the (3, n, 4)
+    role block of ``s``, scattered and with its ``derivative_votes``
+    written; the window starts with the pipelines drained.
 
     The streams follow the datapath's routing, looked up in ``routes`` by
     each stencil's anchor, with no sort. An event whose clamped stencil
@@ -145,7 +144,8 @@ def _hazards(routes: _Routes, s: IweScatter, d_vx: np.ndarray,
     c = cx + 2 * cy, pixel (i + cx, j + cy), to bank c XOR q: bank b holds
     corner b XOR q. So within a role each event issues at most one update
     per bank, and masking the (role, bank, event) issued flags in C order
-    lists each bank's stream in issue order.
+    lists each bank's stream in issue order. One ``np.not_equal`` over the
+    role block flags every role's non-zero votes.
     """
     anchor = s._index[:, 0]
     size = s._index.size
@@ -155,8 +155,7 @@ def _hazards(routes: _Routes, s: IweScatter, d_vx: np.ndarray,
     # each role's non-zero flags, and one False flag read for OFF corners
     nonzero = np.empty((len(ROLES), size + 1), dtype=bool)
     nonzero[:, size] = False
-    for votes, flags in zip((s._weight, d_vx, d_vy), nonzero):
-        np.not_equal(votes.ravel(), 0.0, out=flags[:size])
+    np.not_equal(s._roles.reshape(len(ROLES), size), 0.0, out=nonzero[:, :size])
     issued = np.take(nonzero, corner, axis=1, mode="clip")
     tags = (np.take(routes.tag, anchor, axis=1) + routes.roles)[issued]
     hit = np.zeros(tags.size, dtype=bool)
@@ -198,14 +197,15 @@ class _Accumulator:
         s = self._scatter
         s.scatter(warped)
         d_vx, d_vy = s.derivative_votes()
-        self._drain(s, d_vx, d_vy)
+        self._drain(s)
         self._window = []
         return ImageSet(iwe=s.iwe, d_vx=s.image(d_vx), d_vy=s.image(d_vy),
                         in_bounds_mass=s.in_bounds_mass)
 
-    def _drain(self, s: IweScatter, d_vx: np.ndarray, d_vy: np.ndarray) -> None:
-        """What the datapath does with a window's votes as its pipelines
-        drain at readout; the reference has no pipelines."""
+    def _drain(self, s: IweScatter) -> None:
+        """What the datapath does with a window's votes, the role block of
+        the scatter ``s``, as its pipelines drain at readout; the reference
+        has no pipelines."""
 
 
 class NaiveAccumulator(_Accumulator):
@@ -247,8 +247,8 @@ class BankedAccumulator(_Accumulator):
         # the _hazards of the windows read out so far
         self._counts = np.zeros((2, 4 * len(ROLES)), dtype=np.int64)
 
-    def _drain(self, s: IweScatter, d_vx: np.ndarray, d_vy: np.ndarray) -> None:
-        issued, hits = _hazards(self._routes, s, d_vx, d_vy)
+    def _drain(self, s: IweScatter) -> None:
+        issued, hits = _hazards(self._routes, s)
         self._counts[0] += issued
         self._counts[1] += hits
 

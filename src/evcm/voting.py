@@ -7,7 +7,9 @@ event spreads over its four neighboring pixels with bilinear weights, and
 every image is one ``IweScatter.image``: one ``np.bincount`` of votes.
 ``IweScatter`` votes a batch once and keeps its stencil: it holds the IWE,
 ``gather`` reads any image against the weights' velocity derivatives, and
-``derivative_votes`` gives those derivatives as votes. A warped batch is
+``derivative_votes`` gives those derivatives as votes. The three vote roles,
+the bilinear weights and the two derivatives, are one (3, n, 4) block, one
+(n, 4) row per role. A warped batch is
 one (2, n) block of x' and y' rows, and each stencil step (floor, fraction,
 complement, clamp) is one call over both rows. The estimator scatters the
 IWE of each readout and gathers its gradient; the accumulators scatter a
@@ -27,11 +29,11 @@ index that ``bincount`` reads, the floors' transpose for the index product,
 the fraction rows and their reverse, and the gather's padded interior, flat
 grid, corner and term rows. The constructor makes every buffer the kernel
 uses, as the hardware's memories are fixed when it is built: the
-estimator's gather buffers and two (h, w) grids of ``grids``, and the
-accumulators' derivative votes. A buffer its client never writes is never
-touched, so its pages are never faulted in. Only the images are new on
-every call, as the estimator's ``final_iwe`` and every ``ImageSet`` hold
-them.
+estimator's gather buffers, and the role block, whose derivative rows only
+the accumulators write. A buffer its client never writes is never touched,
+so its pages are never faulted in. Only images are new on every call, as
+the estimator's ``final_iwe`` and every ``ImageSet`` hold them; an
+objective makes its own grid-sized arrays.
 """
 
 from __future__ import annotations
@@ -74,11 +76,14 @@ class IweScatter:
     and at the kept stencil any image gathered and the derivative votes.
 
     Every buffer of a batch of ``n_events`` events, the stencil's, the
-    gather's, the derivative votes' and the two ``grids``, and every view
-    of them that a readout reads or writes, is made once, here, and reused
-    by every readout. After ``scatter``, ``iwe`` is the (h, w) image of
-    warped events and ``in_bounds_mass`` its sum; each ``scatter`` makes a
-    new ``iwe``, so an image handed out earlier is never overwritten.
+    gather's and the (3, n, 4) block of the three vote roles, and every
+    view of them that a readout reads or writes, is made once, here, and
+    reused by every readout. Role 0 of the block is ``_weight``, the
+    bilinear weights, and roles 1-2 are the ``derivative_votes``, in the
+    order of ``datapath.ROLES``. After ``scatter``, ``iwe`` is the (h, w)
+    image of warped events and ``in_bounds_mass`` its sum; each ``scatter``
+    makes a new ``iwe``, so an image handed out earlier is never
+    overwritten.
     """
 
     def __init__(self, n_events: int, shape: tuple[int, int]) -> None:
@@ -90,7 +95,9 @@ class IweScatter:
         self._padded_shape = (h + 2 * PAD, pw)
         self._words = (h + 2 * PAD) * pw
         self._index = np.empty((n_events, 4), dtype=np.intp)
-        self._weight = np.empty((n_events, 4))
+        # the vote roles: the weights, then the derivative votes
+        self._roles = np.empty((3, n_events, 4))
+        self._weight, self._derivatives = self._roles[0], tuple(self._roles[1:])
         self._flat_index = self._index.reshape(-1)
         self._columns = tuple(self._weight.T)
         # rows dx, dy, 1 - dx, 1 - dy and ones; while the index is built,
@@ -119,8 +126,6 @@ class IweScatter:
         t = self._terms
         self._t02, self._t13, self._t01, self._t23 = t[0::2], t[1::2], t[:2], t[2:]
         self._t0, self._t1 = t[0], t[1]
-        self._grids = (np.empty((h, w)), np.empty((h, w)))
-        self._votes = np.empty((2, n_events, 4))  # derivative_votes' buffer
 
     def scatter(self, warped: WarpedBatch) -> None:
         """Build the bilinear stencil of ``warped`` and sum its IWE.
@@ -171,10 +176,10 @@ class IweScatter:
     def derivative_votes(self) -> tuple[np.ndarray, np.ndarray]:
         """The (n, 4) votes of ∂I/∂vx and ∂I/∂vy at ``_index``, I being the
         IWE last scattered: the scatter form of ∂w/∂v, whose transpose is
-        ``gather``; ``image`` sums them into derivative images. The two
-        arrays are buffers the scatter keeps, and the next call overwrites
-        them."""
-        d_vx, d_vy = self._votes
+        ``gather``; ``image`` sums them into derivative images. They are
+        written into roles 1-2 of the scatter's role block, and the next
+        call overwrites them."""
+        d_vx, d_vy = self._derivatives
         dx, dy, one_dx, one_dy = self._fracs
         dts = self._dts
         # ∂x'/∂vx = -dt, so per corner ∂w/∂vx is dt·(1−dy, −(1−dy), dy, −dy)
@@ -188,12 +193,6 @@ class IweScatter:
         np.negative(d_vy[:, 0], out=d_vy[:, 2])
         np.negative(d_vy[:, 1], out=d_vy[:, 3])
         return d_vx, d_vy
-
-    def grids(self) -> tuple[np.ndarray, np.ndarray]:
-        """Two (h, w) grids kept by the scatter, for a caller's per-readout
-        images: ``objective.evaluate`` writes I − μ and its square there.
-        Each readout overwrites them."""
-        return self._grids
 
     def gather(self, image: np.ndarray) -> tuple[float, float]:
         """(Σ_p image[p]·∂I[p]/∂vx, Σ_p image[p]·∂I[p]/∂vy) over the pixels p of

@@ -1,11 +1,13 @@
 """The names the benchmark reads from the package, checked here so that a
-dropped or moved export fails the test suite, not only a traced bench run.
+dropped or moved export fails the test suite, not only a traced bench run,
+and the package's typed errors, each of which ``evcm`` exports.
 
 ``bench/adapter.py`` is every call the benchmark makes into ``evcm``. It is
 read as source, not imported, and not changed."""
 
 import ast
 import importlib
+import pkgutil
 from pathlib import Path
 
 import evcm
@@ -57,3 +59,14 @@ def test_every_trace_target_resolves_to_a_callable():
     absent = [f"{owner}.{attr}" for owner, attr in pairs
               if not callable(getattr(resolve(owner), attr, None))]
     assert absent == []
+
+
+def test_every_error_a_module_defines_is_on_evcm():
+    modules = [importlib.import_module(f"evcm.{info.name}")
+               for info in pkgutil.iter_modules(evcm.__path__)]
+    errors = {name: obj for m in modules for name, obj in vars(m).items()
+              if isinstance(obj, type) and issubclass(obj, Exception)
+              and obj.__module__ == m.__name__}
+    assert "OptimizationError" in errors
+    assert sorted(name for name, obj in errors.items()
+                  if getattr(evcm, name, None) is not obj) == []

@@ -595,11 +595,12 @@ class TestReadoutAllocation:
     def test_a_readout_allocates_nothing_sized_by_n(self, rng):
         """A warm readout, warp into a kept block, scatter and evaluate,
         allocates less than one float row of the batch: what it makes is
-        sized by the grid, the padded ``bincount`` and the new ``iwe``."""
+        sized by the grid, the padded ``bincount``, the new ``iwe`` and
+        ``evaluate``'s I − μ and its square."""
         shape = (64, 64)
         n = 50_000
         w, h = shape
-        grid_bytes = 8 * ((w + 2 * PAD) * (h + 2 * PAD) + w * h)
+        grid_bytes = 8 * ((w + 2 * PAD) * (h + 2 * PAD) + 3 * w * h)
         assert grid_bytes < 8 * n  # so one float row would not pass unseen
         batch = random_interior_batch(rng, n, shape)
         grid = IweScatter(n, shape)
